@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <span>
 
 #include "bench_export.h"
 #include "compiler/passes.h"
@@ -159,8 +160,8 @@ void BM_EndToEndSystemLeg(benchmark::State& state) {
 BENCHMARK(BM_EndToEndSystemLeg)->Unit(benchmark::kMillisecond);
 
 // Trace-driven twin of BM_EndToEndSystemLeg: identical leg configuration,
-// evaluated through replaySystem() from pre-recorded traces. The ratio of
-// the two is the per-leg speedup of the record-once / replay-many engine.
+// evaluated as a one-lane replayBatch() from pre-recorded traces. The ratio
+// of the two is the per-leg speedup of the record-once / replay-many engine.
 void BM_ReplayLegs(benchmark::State& state) {
     const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
     Module bbrModule = module;
@@ -173,11 +174,12 @@ void BM_ReplayLegs(benchmark::State& state) {
     traces.bbr = recordReplaySource(bbrModule, record, 0, ignored);
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        SystemConfig config;
-        config.scheme = SchemeKind::FfwBbr;
-        config.op = DvfsTable::at(400_mV);
-        config.faultMapSeed = seed++;
-        benchmark::DoNotOptimize(replaySystem(&bbrModule, config, traces));
+        BatchLane lane;
+        lane.config.scheme = SchemeKind::FfwBbr;
+        lane.config.op = DvfsTable::at(400_mV);
+        lane.config.faultMapSeed = seed++;
+        replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
+        benchmark::DoNotOptimize(lane.result);
     }
 }
 BENCHMARK(BM_ReplayLegs)->Unit(benchmark::kMillisecond);
@@ -410,21 +412,6 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
         }
     }
 
-    // The same serial sweep with batching disabled (`--no-batch`): the
-    // per-leg replay path the batched engine is measured against.
-    {
-        SweepConfig config = tinySweepConfig(1);
-        config.useBatch = false;
-        const auto legs = static_cast<double>(sweepLegCount(config));
-        RunningStats rate;
-        for (int rep = 0; rep < kPerfReps; ++rep) {
-            const auto start = Clock::now();
-            benchmark::DoNotOptimize(runSweep(config));
-            rate.add(legs / secondsSince(start));
-        }
-        metrics.push_back(metricOf("sweep.nobatch_legs_per_sec/threads1", rate));
-    }
-
     // The same serial sweep execution-driven (`--no-replay`): the PR 3
     // baseline the replay speedup is measured against.
     {
@@ -459,8 +446,8 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
         metrics.push_back(metricOf("sweep.exec_legs_per_sec/telemetry_off", rate));
     }
 
-    // Raw replaySystem() legs per second (FFW+BBR at 400mV — the most
-    // expensive replayed leg: per-trial verified link + live predictor).
+    // Raw one-lane replayBatch() legs per second (FFW+BBR at 400mV — the
+    // most expensive replayed leg: per-trial verified link + live predictor).
     {
         const Module module = buildBenchmark("basicmath", WorkloadScale::Tiny);
         Module bbrModule = module;
@@ -477,11 +464,12 @@ std::vector<voltcache::bench::BenchMetric> perfProbe() {
         for (int rep = 0; rep < kPerfReps; ++rep) {
             const auto start = Clock::now();
             for (int i = 0; i < kLegsPerRep; ++i) {
-                SystemConfig config;
-                config.scheme = SchemeKind::FfwBbr;
-                config.op = DvfsTable::at(400_mV);
-                config.faultMapSeed = seed++;
-                benchmark::DoNotOptimize(replaySystem(&bbrModule, config, traces));
+                BatchLane lane;
+                lane.config.scheme = SchemeKind::FfwBbr;
+                lane.config.op = DvfsTable::at(400_mV);
+                lane.config.faultMapSeed = seed++;
+                replayBatch(&bbrModule, traces, std::span<BatchLane>(&lane, 1));
+                benchmark::DoNotOptimize(lane.result);
             }
             rate.add(kLegsPerRep / secondsSince(start));
         }

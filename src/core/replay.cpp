@@ -1,6 +1,5 @@
 #include "core/replay.h"
 
-#include <algorithm>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -18,9 +17,8 @@ namespace {
 
 constexpr std::uint32_t kUnmappedWord = 0xFFFFFFFFU;
 
-/// Recording-layout -> trial-layout address mapping shared by both replay
-/// drivers. A null table is the identity (non-BBR legs run the recorded
-/// layout itself).
+/// Recording-layout -> trial-layout address mapping of one BBR lane. A null
+/// table is the identity (non-BBR lanes run the recorded layout itself).
 struct AddressTranslator {
     const std::uint32_t* table = nullptr;
     std::uint32_t tableWords = 0;
@@ -47,188 +45,35 @@ struct AddressTranslator {
     }
 };
 
-/// Trace-driven Driver for timing::runPipeline: walks the recording image's
-/// decoded instructions, pops recorded control-flow/data facts, and carries
-/// no architectural state at all. With a translation table (BBR trials) the
-/// presented pc/addresses are the trial layout's; with a live predictor the
-/// recorded verdicts are ignored and the predictor runs on trial addresses.
-class ReplayDriver {
-public:
-    ReplayDriver(const Image& recording, const ArchTrace& trace,
-                 const AddressTranslator& xlate, BranchPredictor* predictor)
-        : code_(recording.decodedInstructions()),
-          cursor_(trace),
-          xlate_(xlate),
-          base_(recording.baseAddr()),
-          predictor_(predictor) {
-        recPc_ = recording.entryAddr();
-        trialPc_ = translate(recPc_);
-        ip_ = code_ + (recPc_ - base_) / 4;
-        end_ = trace.instructions();
-    }
-
-    [[nodiscard]] bool atEnd() const { return issued_ == end_; }
-    // Recorded streams only ever visit instruction words, so the driver
-    // walks the dense decoded array directly — no per-access fetch checks.
-    [[nodiscard]] const Instruction& inst() { return *(inst_ = ip_); }
-    [[nodiscard]] std::uint32_t pc() const { return trialPc_; }
-
-    [[nodiscard]] std::uint32_t loadAddr() { return translateData(cursor_.nextDataAddr()); }
-    [[nodiscard]] std::uint32_t literalAddr() {
-        return translate(recPc_ + static_cast<std::uint32_t>(inst_->imm) * 4);
-    }
-    [[nodiscard]] std::uint32_t storeAddr() { return translateData(cursor_.nextDataAddr()); }
-
-    [[nodiscard]] bool condTaken() {
-        cf_ = cursor_.nextCf();
-        return cf_.taken;
-    }
-    [[nodiscard]] std::uint32_t directTarget() {
-        recTarget_ = recPc_ + static_cast<std::uint32_t>(inst_->imm) * 4;
-        return translate(recTarget_);
-    }
-    [[nodiscard]] std::uint32_t jalrTarget() {
-        cf_ = cursor_.nextCf();
-        recTarget_ = cursor_.nextJalrTarget();
-        return translate(recTarget_);
-    }
-
-    [[nodiscard]] bool resolveJump(std::uint32_t pc, std::uint32_t target) {
-        const CfRecord rec = cursor_.nextCf(); // keep streams in sync either way
-        if (predictor_ == nullptr) return rec.correct;
-        const auto prediction = predictor_->predictJump(pc);
-        return predictor_->resolve(prediction, pc, true, target,
-                                   /*chargeMispredict=*/false);
-    }
-    [[nodiscard]] bool resolveReturn(std::uint32_t pc, std::uint32_t target) {
-        if (predictor_ == nullptr) return cf_.correct;
-        const auto prediction = predictor_->predictReturn(pc);
-        return predictor_->resolve(prediction, pc, true, target,
-                                   /*chargeMispredict=*/true);
-    }
-    [[nodiscard]] bool resolveBranch(std::uint32_t pc, bool taken, std::uint32_t target) {
-        if (predictor_ == nullptr) return cf_.correct;
-        const auto prediction = predictor_->predictBranch(pc);
-        return predictor_->resolve(prediction, pc, taken, target,
-                                   /*chargeMispredict=*/true);
-    }
-    void pushReturnAddress(std::uint32_t addr) {
-        if (predictor_ != nullptr) predictor_->pushReturnAddress(addr);
-    }
-
-    // Architectural side effects: replay has no values to carry.
-    void writeLui() {}
-    void writeAlu() {}
-    void writeLink() {}
-    void writeLoad(std::uint32_t /*addr*/) {}
-    void doStore(std::uint32_t /*addr*/) {}
-    void notifyControlFlow(bool /*taken*/, std::uint32_t /*nextPc*/, bool /*correct*/) {}
-    void notifyIssue() { ++issued_; }
-
-    void stepFallthrough() {
-        // Sequential flow never leaves a placed section (BBR-shaped blocks
-        // end in control flow), so both layouts advance by one word.
-        recPc_ += 4;
-        trialPc_ += 4;
-        ++ip_;
-    }
-    void stepBranch(bool taken, std::uint32_t target) {
-        recPc_ = taken ? recTarget_ : recPc_ + 4;
-        trialPc_ = taken ? target : trialPc_ + 4;
-        ip_ = code_ + (recPc_ - base_) / 4;
-    }
-    void stepJump(std::uint32_t target) {
-        recPc_ = recTarget_;
-        trialPc_ = target;
-        ip_ = code_ + (recPc_ - base_) / 4;
-    }
-    void stepJalr(std::uint32_t target) {
-        recPc_ = recTarget_;
-        trialPc_ = target;
-        ip_ = code_ + (recPc_ - base_) / 4;
-    }
-
-    [[nodiscard]] bool fullyConsumed() const noexcept { return cursor_.fullyConsumed(); }
-
-private:
-    [[nodiscard]] std::uint32_t translate(std::uint32_t recAddr) const {
-        return xlate_.translate(recAddr);
-    }
-    [[nodiscard]] std::uint32_t translateData(std::uint32_t recAddr) const {
-        return xlate_.translateData(recAddr);
-    }
-
-    const Instruction* code_;
-    const Instruction* ip_ = nullptr;
-    ArchTrace::Cursor cursor_;
-    AddressTranslator xlate_;
-    std::uint32_t base_;
-    BranchPredictor* predictor_;
-    const Instruction* inst_ = nullptr;
-    std::uint32_t recPc_ = 0;
-    std::uint32_t trialPc_ = 0;
-    std::uint32_t recTarget_ = 0;
-    CfRecord cf_;
-    std::uint64_t issued_ = 0;
-    std::uint64_t end_ = 0;
-};
-
 // ---------------------------------------------------------------------------
-// Batched multi-map replay: decode the trace once per chunk into a flat
-// pre-lowered tape, then advance every lane of the TrialBatch through the
-// chunk before decoding the next one. The varint/zigzag cursor work and the
-// recording-image position walk are paid once per batch instead of once per
-// trial, and the per-lane inner loop degenerates to flat tape loads feeding
-// the shared timing kernel.
+// Multi-map replay: decode the trace once per chunk into a flat pre-lowered
+// tape, then advance every lane through the chunk before decoding the next
+// one. The varint/zigzag cursor work and the recording-image position walk
+// are paid once per batch instead of once per lane, and each lane runs the
+// shared timing kernel (cpu/timing_kernel.h) over flat tape loads.
 // ---------------------------------------------------------------------------
-
-/// Issue-stage shape of a tape op: which case of the timing kernel's
-/// execute switch it takes. Pre-lowered once per batch so the op-major
-/// kernel dispatches on a dense byte instead of re-classifying the opcode
-/// per (op, lane).
-enum class OpClass : std::uint8_t { Alu, Lui, Load, Store, Jal, Jalr, Branch, Nop, Halt };
-
-[[nodiscard]] constexpr OpClass opClassOf(Opcode op) noexcept {
-    switch (op) {
-        case Opcode::Nop: return OpClass::Nop;
-        case Opcode::Halt: return OpClass::Halt;
-        case Opcode::Lui: return OpClass::Lui;
-        case Opcode::Lw:
-        case Opcode::Ldl: return OpClass::Load;
-        case Opcode::Sw: return OpClass::Store;
-        case Opcode::Jal: return OpClass::Jal;
-        case Opcode::Jalr: return OpClass::Jalr;
-        default: return isConditionalBranch(op) ? OpClass::Branch : OpClass::Alu;
-    }
-}
 
 /// One pre-lowered instruction of the recorded stream. `aux` is the one
 /// recorded fact the opcode needs: the data address (Lw/Sw), the literal
 /// address (Ldl), or the recording-layout control-flow target
 /// (Jal/Jalr/conditional branch) — all in recording-layout coordinates, so
 /// each lane applies its own translation (identity for plain lanes).
-/// `cross` marks ops whose recording-layout pc enters a new 32B fetch block
-/// — the I-cache access points, identical for every plain lane by
-/// construction (BBR lanes run translated layouts and re-derive their own
-/// crossings from the trial pc).
 struct TapeOp {
     Instruction inst;
     std::uint32_t recPc = 0;
     std::uint32_t aux = 0;
     std::uint8_t taken = 0;   ///< recorded branch direction (1 for jumps)
     std::uint8_t correct = 0; ///< recorded predictor verdict
-    OpClass cls = OpClass::Alu;
-    std::uint8_t cross = 0;   ///< recording-layout fetch-block boundary
 };
 
-/// Tape chunk size in instructions. 2K ops keep the ~40KB tape hot in L2
-/// while a batch's lanes take turns replaying it; larger chunks amortize
-/// the per-lane state reload slightly better but start evicting the lanes'
-/// tag arrays.
+/// Tape chunk size in instructions. 256 ops (~5KB of tape) stay hot in the
+/// host's L1 while a batch's lanes take turns replaying them; larger chunks
+/// amortize the per-lane state reload slightly better but start evicting
+/// the lanes' tag arrays.
 constexpr std::uint32_t kTapeChunkOps = 256;
 
-/// Decodes the recorded stream chunk-by-chunk, replicating ReplayDriver's
-/// position walk and cursor pops exactly once per batch.
+/// Decodes the recorded stream chunk by chunk: the recording image's
+/// position walk and the trace cursor's pops, once per batch.
 class TapeBuilder {
 public:
     TapeBuilder(const Image& recording, const ArchTrace& trace)
@@ -254,10 +99,6 @@ public:
             op.aux = 0;
             op.taken = 0;
             op.correct = 0;
-            op.cls = opClassOf(inst.op);
-            const std::uint64_t fetchBlock = recPc_ / 32;
-            op.cross = fetchBlock != lastFetchBlock_ ? 1 : 0;
-            lastFetchBlock_ = fetchBlock;
             --remaining_;
             switch (inst.op) {
                 case Opcode::Lw:
@@ -323,16 +164,13 @@ private:
     std::uint32_t base_;
     std::uint32_t recPc_;
     std::uint64_t remaining_;
-    // Mirrors PipelineState::lastFetchBlock's initial value so the decoded
-    // crossing sequence equals what each lane's kernel walk would compute.
-    std::uint64_t lastFetchBlock_ = ~std::uint64_t{0};
 };
 
 /// Tape-walking Driver for timing::runPipelineChunk. Every recorded fact is
 /// a flat load from the pre-lowered tape; plain lanes (`kBbr == false`,
 /// identity layout, replayed predictor verdicts) compile the translation
 /// and the predictor away entirely, while BBR lanes carry their per-trial
-/// translated pc and live predictor exactly like ReplayDriver.
+/// translated pc and run a live predictor over it.
 template <bool kBbr>
 class TapeDriver {
 public:
@@ -452,291 +290,11 @@ private:
     std::uint32_t trialPc_;
 };
 
-// ---------------------------------------------------------------------------
-// Op-major plain-lane kernel: the TrialBatch inner loop. The lane-major
-// path above walks each lane through a whole chunk before switching lanes,
-// so every data-dependent branch of the timing kernel (the execute switch,
-// the stall checks, hit/miss paths) re-trains the host branch predictor on
-// each lane's pass. Here the loops are inverted — for each tape op, a tight
-// loop advances every lane — which makes all of those branches
-// lane-coherent: the switch resolves once per op, and each in-loop branch
-// sees the same op (and usually the same outcome) B times in a row.
-//
-// Because every plain lane replays the same recorded stream with identity
-// translation and recorded verdicts, all stream-derived counters —
-// instructions, loads, stores, branch mix, recorded mispredicts, fetch
-// crossings — are lane-invariant: they are tallied ONCE per op into
-// ChunkAggregates and added to each lane's RunStats at the chunk edge,
-// instead of once per (op, lane).
-//
-// This mirrors timing_kernel.h's runPipelineChunk case for a TapeDriver
-// with no predictor and identity translation; that function remains the
-// normative copy of the timing semantics, and the batched-vs-unbatched
-// byte-identity tests (tests/test_sweep_determinism.cpp, tests/test_replay.cpp,
-// and the golden sweep JSON) enforce that the two never drift.
-// ---------------------------------------------------------------------------
-
-/// Stream-derived counters identical for every plain lane of one chunk.
-struct ChunkAggregates {
-    std::uint64_t instructions = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t condBranches = 0;
-    std::uint64_t takenBranches = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t l1iAccesses = 0;
-    std::uint64_t l1dAccesses = 0;
-    bool halted = false;
-};
-
-/// One plain lane as the op-major kernel sees it: timing state plus the
-/// lane's concrete (devirtualized) schemes.
-template <class ICacheT, class DCacheT>
-struct PlainLaneRef {
-    timing::PipelineState* st = nullptr;
-    ICacheT* icache = nullptr;
-    DCacheT* dcache = nullptr;
-};
-
-/// Advance every lane of one scheme-homogeneous plain group through one
-/// decoded tape chunk. Per-lane semantics are exactly runPipelineChunk's:
-/// same fetch/stall/issue/execute rules, same attribution, same order — only
-/// the iteration order (op-major instead of lane-major) and the aggregation
-/// of lane-invariant counters differ, neither of which is observable in the
-/// per-lane result.
-template <class ICacheT, class DCacheT>
-void runTapeChunkPlain(const TapeOp* ops, std::uint32_t count,
-                       PlainLaneRef<ICacheT, DCacheT>* lanes, std::size_t laneCount,
-                       const PipelineConfig& config) {
-    using timing::StallCause;
-    if (laneCount == 0 || count == 0) return;
-    if (!lanes[0].st->running) return; // Halt retired in an earlier chunk
-
-    const std::uint32_t iOverhead = lanes[0].icache->latencyOverhead();
-    const std::uint32_t iHitLatency = kL1HitLatencyCycles + iOverhead;
-    const std::uint32_t takenBubble = config.takenBranchFetchBubble ? iHitLatency - 1 : 0;
-    const std::uint32_t dOverhead = lanes[0].dcache->latencyOverhead();
-    const std::uint64_t instrLimit =
-        config.maxInstructions != 0 ? config.maxInstructions : ~std::uint64_t{0};
-    // Lane-invariant by construction (all lanes issue the same stream).
-    const std::uint64_t instrBase = lanes[0].st->stats.instructions;
-
-    const auto advanceTo = [](timing::PipelineState& st, std::uint64_t targetCycle,
-                              StallCause cause) {
-        if (targetCycle <= st.cycle) return;
-        st.stallCycles[static_cast<unsigned>(cause)] += targetCycle - st.cycle;
-        st.cycle = targetCycle;
-        st.slotsUsed = 0;
-        st.memOpsThisCycle = 0;
-        st.branchesThisCycle = 0;
-    };
-    const auto setRegTiming = [](timing::PipelineState& st, unsigned index,
-                                 std::uint64_t readyCycle, bool fromLoad) {
-        const unsigned slot = index == kZeroRegister ? kNumRegisters : index;
-        st.regReady[slot] = readyCycle;
-        st.regFromLoad[slot] = fromLoad;
-    };
-
-    ChunkAggregates agg;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        if (instrBase + agg.instructions >= instrLimit) break;
-        const TapeOp op = ops[i];
-        const std::uint8_t opFlags =
-            timing::detail::kOpFlags[static_cast<unsigned>(op.inst.op)];
-        const bool isMem = (opFlags & timing::detail::kIsMemory) != 0;
-        const bool isCf = (opFlags & timing::detail::kIsControlFlow) != 0;
-        const bool readsRs1 = (opFlags & timing::detail::kReadsRs1) != 0;
-        const bool readsRs2 = (opFlags & timing::detail::kReadsRs2) != 0;
-
-        // --- Instruction fetch: lane-invariant crossing, per-lane access. ---
-        if (op.cross != 0) {
-            ++agg.l1iAccesses;
-            for (std::size_t l = 0; l < laneCount; ++l) {
-                timing::PipelineState& st = *lanes[l].st;
-                const AccessResult fetch = lanes[l].icache->fetch(op.recPc);
-                st.stats.activity.l2Accesses += fetch.l2Reads;
-                if (fetch.dram) ++st.stats.activity.dramAccesses;
-                if (fetch.auxProbe) ++st.stats.activity.auxAccesses;
-                if (!fetch.l1Hit) {
-                    const std::uint64_t penalty = fetch.latencyCycles - iHitLatency;
-                    if (st.cycle + penalty > st.frontendReady) {
-                        st.frontendReady = st.cycle + penalty;
-                        st.frontendCause = StallCause::IFetch;
-                    }
-                }
-            }
-        }
-        ++agg.instructions;
-
-        // The issue front shared by every op class: frontend drain, register
-        // dependences, width/structural constraints — runPipelineChunk's
-        // pre-execute sequence verbatim, on one lane.
-        const auto issueFront = [&](timing::PipelineState& st) {
-            advanceTo(st, st.frontendReady, st.frontendCause);
-            const std::uint64_t ready1 = readsRs1 ? st.regReady[op.inst.rs1] : 0;
-            const std::uint64_t ready2 = readsRs2 ? st.regReady[op.inst.rs2] : 0;
-            const std::uint64_t ready = std::max(ready1, ready2);
-            if (ready > st.cycle) [[unlikely]] {
-                const bool fromLoad = ready1 >= ready2 ? st.regFromLoad[op.inst.rs1]
-                                                       : st.regFromLoad[op.inst.rs2];
-                advanceTo(st, ready, fromLoad ? StallCause::Dmem : StallCause::Exec);
-            }
-            if (st.slotsUsed >= config.issueWidth || (isMem && st.memOpsThisCycle >= 1) ||
-                (isCf && st.branchesThisCycle >= 1)) {
-                advanceTo(st, st.cycle + 1, StallCause::None);
-            }
-            if (isMem && config.dcachePortOccupancy) {
-                const std::uint64_t portFree = st.dportBusyUntil;
-                if (portFree > st.cycle) advanceTo(st, portFree, StallCause::Dmem);
-                st.dportBusyUntil = st.cycle + 1 + dOverhead;
-            }
-            ++st.slotsUsed;
-            if (isMem) ++st.memOpsThisCycle;
-            if (isCf) ++st.branchesThisCycle;
-        };
-
-        switch (op.cls) {
-            case OpClass::Nop:
-                for (std::size_t l = 0; l < laneCount; ++l) issueFront(*lanes[l].st);
-                break;
-            case OpClass::Halt:
-                agg.halted = true;
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    issueFront(*lanes[l].st);
-                    lanes[l].st->running = false;
-                }
-                break;
-            case OpClass::Lui:
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    timing::PipelineState& st = *lanes[l].st;
-                    issueFront(st);
-                    setRegTiming(st, op.inst.rd, st.cycle + 1, false);
-                }
-                break;
-            case OpClass::Load:
-                ++agg.loads;
-                ++agg.l1dAccesses;
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    timing::PipelineState& st = *lanes[l].st;
-                    issueFront(st);
-                    const AccessResult res = lanes[l].dcache->read(op.aux);
-                    st.stats.activity.l2Accesses += res.l2Reads;
-                    if (res.dram) ++st.stats.activity.dramAccesses;
-                    if (res.auxProbe) ++st.stats.activity.auxAccesses;
-                    setRegTiming(st, op.inst.rd, st.cycle + res.latencyCycles, true);
-                    if (config.extraDcacheCycleStalls && dOverhead > 0) {
-                        advanceTo(st, st.cycle + 1 + dOverhead, StallCause::Dmem);
-                    }
-                }
-                break;
-            case OpClass::Store:
-                ++agg.stores;
-                ++agg.l1dAccesses;
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    timing::PipelineState& st = *lanes[l].st;
-                    issueFront(st);
-                    const AccessResult res = lanes[l].dcache->write(op.aux);
-                    st.stats.activity.l2WriteThroughs += res.l2Writes;
-                    st.stats.activity.l2Accesses += res.l2Reads;
-                    if (res.dram) ++st.stats.activity.dramAccesses;
-                    if (res.auxProbe) ++st.stats.activity.auxAccesses;
-                }
-                break;
-            case OpClass::Jal: {
-                const bool correct = op.correct != 0;
-                const bool writesLink = op.inst.rd != kZeroRegister;
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    timing::PipelineState& st = *lanes[l].st;
-                    issueFront(st);
-                    if (writesLink) setRegTiming(st, op.inst.rd, st.cycle + 1, false);
-                    if (!correct) {
-                        st.frontendReady = st.cycle + 1 + iHitLatency;
-                        st.frontendCause = StallCause::Branch;
-                    } else if (takenBubble > 0) {
-                        st.frontendReady = std::max(st.frontendReady, st.cycle + takenBubble);
-                        st.frontendCause = StallCause::Branch;
-                    }
-                }
-                break;
-            }
-            case OpClass::Jalr: {
-                const bool correct = op.correct != 0;
-                const bool writesLink = op.inst.rd != kZeroRegister;
-                if (!correct) ++agg.mispredicts;
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    timing::PipelineState& st = *lanes[l].st;
-                    issueFront(st);
-                    if (writesLink) setRegTiming(st, op.inst.rd, st.cycle + 1, false);
-                    if (!correct) {
-                        st.frontendReady = st.cycle + 1 + config.mispredictPenalty +
-                                           iHitLatency + iOverhead;
-                        st.frontendCause = StallCause::Branch;
-                    } else if (takenBubble > 0) {
-                        st.frontendReady = std::max(st.frontendReady, st.cycle + takenBubble);
-                        st.frontendCause = StallCause::Branch;
-                    }
-                }
-                break;
-            }
-            case OpClass::Branch: {
-                const bool taken = op.taken != 0;
-                const bool correct = op.correct != 0;
-                ++agg.condBranches;
-                if (taken) ++agg.takenBranches;
-                if (!correct) ++agg.mispredicts;
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    timing::PipelineState& st = *lanes[l].st;
-                    issueFront(st);
-                    if (!correct) {
-                        st.frontendReady = st.cycle + 1 + config.mispredictPenalty +
-                                           iHitLatency + iOverhead;
-                        st.frontendCause = StallCause::Branch;
-                    } else if (taken && takenBubble > 0) {
-                        st.frontendReady = std::max(st.frontendReady, st.cycle + takenBubble);
-                        st.frontendCause = StallCause::Branch;
-                    }
-                }
-                break;
-            }
-            case OpClass::Alu: {
-                std::uint32_t latency = 1;
-                if (op.inst.op == Opcode::Mul) latency = config.mulLatency;
-                if (op.inst.op == Opcode::Div || op.inst.op == Opcode::Rem) {
-                    latency = config.divLatency;
-                }
-                for (std::size_t l = 0; l < laneCount; ++l) {
-                    timing::PipelineState& st = *lanes[l].st;
-                    issueFront(st);
-                    setRegTiming(st, op.inst.rd, st.cycle + latency, false);
-                }
-                break;
-            }
-        }
-        if (op.cls == OpClass::Halt) break; // last recorded op by construction
-    }
-
-    // Fold the lane-invariant stream counters into every lane, wholesale.
-    for (std::size_t l = 0; l < laneCount; ++l) {
-        RunStats& stats = lanes[l].st->stats;
-        stats.instructions += agg.instructions;
-        stats.loads += agg.loads;
-        stats.stores += agg.stores;
-        stats.condBranches += agg.condBranches;
-        stats.takenBranches += agg.takenBranches;
-        stats.mispredicts += agg.mispredicts;
-        stats.activity.l1iAccesses += agg.l1iAccesses;
-        stats.activity.l1dAccesses += agg.l1dAccesses;
-        if (agg.halted) stats.halted = true;
-    }
-}
-
-/// Per-lane mutable state of one TrialBatch: the structure-of-arrays over
-/// trials. Elements are constructed in a pre-sized vector and never move,
-/// so the schemes' reference to *l2 and the driver's predictor pointer stay
-/// valid for the batch's lifetime.
+/// Per-lane mutable state of one batch. Elements are constructed in a
+/// pre-sized vector and never move, so the schemes' reference to *l2 and
+/// the driver's predictor pointer stay valid for the batch's lifetime.
 struct LaneRuntime {
     BatchLane* lane = nullptr;
-    bool alive = false;
     std::optional<detail::LegFaultMaps> localMaps;
     const detail::LegFaultMaps* maps = nullptr;
     std::unique_ptr<L2Cache> l2;
@@ -744,12 +302,9 @@ struct LaneRuntime {
     std::optional<LinkOutput> trialLink;
     std::vector<std::uint32_t> table;
     std::optional<BranchPredictor> predictor;
+    AddressTranslator xlate;
     PipelineConfig pipeline;
-    /// Points into replayBatch's dense state array: the op-major kernel
-    /// walks every lane's scoreboard per op, so the states must sit
-    /// shoulder to shoulder rather than strided across LaneRuntimes.
-    timing::PipelineState* st = nullptr;
-    std::optional<TapeDriver<true>> bbrDrv;
+    timing::PipelineState st;
 };
 
 /// Thread-local pool of L2Cache objects reused across batches. Constructing
@@ -788,6 +343,36 @@ private:
         return pool;
     }
 };
+
+/// Stream the whole tape through every live lane, one chunk at a time, each
+/// lane running timing::runPipelineChunk over its own TapeDriver with its
+/// concrete (devirtualized) scheme pair. `kBbr` is the batch's layout kind.
+template <bool kBbr>
+void streamTape(TapeBuilder& builder, const std::vector<LaneRuntime*>& live,
+                std::uint32_t recordingEntry) {
+    std::vector<TapeDriver<kBbr>> drivers;
+    drivers.reserve(live.size());
+    for (LaneRuntime* rt : live) {
+        drivers.emplace_back(rt->xlate, rt->predictor.has_value() ? &*rt->predictor : nullptr,
+                             rt->xlate.translate(recordingEntry));
+    }
+    std::vector<TapeOp> tape(kTapeChunkOps);
+    while (!builder.done()) {
+        const std::uint32_t count = builder.fill(tape.data(), kTapeChunkOps);
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            LaneRuntime& rt = *live[i];
+            TapeDriver<kBbr>& driver = drivers[i];
+            withConcreteSchemes(rt.lane->config.scheme, rt.pair, [&](auto& icache, auto& dcache) {
+                // Only BBR lanes pair with the BBR I-cache; skip the other
+                // instantiations so each layout compiles just its own kernels.
+                if constexpr (kBbr == std::is_same_v<std::decay_t<decltype(icache)>, BbrICache>) {
+                    driver.beginChunk(tape.data(), count);
+                    timing::runPipelineChunk(rt.st, driver, icache, dcache, rt.pipeline);
+                }
+            });
+        }
+    }
+}
 
 } // namespace
 
@@ -853,81 +438,10 @@ std::vector<std::uint32_t> buildAddressTranslation(const Image& recording,
     return table;
 }
 
-SystemResult replaySystem(const Module* bbrModule, const SystemConfig& config,
-                          const TraceCache& cache, const detail::LegFaultMaps* chipMaps) {
-    const obs::Span span("replay");
-    const bool needsBbr = schemeNeedsBbrLinking(config.scheme);
-    const ReplaySource* source = needsBbr ? cache.bbr.get() : cache.plain.get();
-    VC_EXPECTS(source != nullptr);
-    VC_EXPECTS(source->trace.finalized() && !source->trace.overflowed());
-    VC_EXPECTS(source->trace.maxInstructions() == config.maxInstructions);
-    VC_EXPECTS(source->trace.entryAddr() == source->link.image.entryAddr());
-    VC_EXPECTS(source->trace.imageWords() == source->link.image.sizeWords());
-    VC_EXPECTS(config.observers.empty());
-
-    SystemResult result;
-    std::optional<detail::LegFaultMaps> local;
-    if (chipMaps == nullptr || detail::schemeIsDefectFree(config.scheme)) {
-        local.emplace(detail::generateLegFaultMaps(config));
-    }
-    const detail::LegFaultMaps& maps = local.has_value() ? *local : *chipMaps;
-
-    L2Cache::Config l2Config;
-    l2Config.dramLatencyCycles = dramLatencyCycles(config.dramLatencyNs, config.op.frequency);
-    L2Cache l2(l2Config);
-
-    SchemePair pair = makeSchemes(config.scheme, config.l1Org, maps.dcache, maps.icache, l2);
-    VC_CHECK(pair.needsBbrLinking == needsBbr);
-
-    std::vector<std::uint32_t> table;
-    std::optional<BranchPredictor> predictor;
-    std::optional<LinkOutput> trialLink;
-    if (needsBbr) {
-        VC_EXPECTS(bbrModule != nullptr);
-        LinkOptions options;
-        options.bbrPlacement = true;
-        options.icacheFaultMap = &maps.icache;
-        try {
-            trialLink = analysis::linkVerified(*bbrModule, options);
-        } catch (const LinkError& e) {
-            // Same yield-loss accounting as the execution-driven path.
-            result.linkFailed = true;
-            result.forensics.failCause = e.cause();
-            detail::publishLegMetrics(config, result);
-            return result;
-        }
-        result.linkStats = trialLink->stats;
-        table = buildAddressTranslation(source->link.image, trialLink->image);
-        predictor.emplace(config.pipeline.predictor);
-    } else {
-        result.linkStats = source->link.stats;
-    }
-
-    PipelineConfig pipeline = config.pipeline;
-    pipeline.maxInstructions = config.maxInstructions;
-    AddressTranslator xlate;
-    xlate.table = table.empty() ? nullptr : table.data();
-    xlate.tableWords = static_cast<std::uint32_t>(table.size());
-    xlate.base = source->link.image.baseAddr();
-    ReplayDriver driver(source->link.image, source->trace, xlate,
-                        predictor.has_value() ? &*predictor : nullptr);
-
-    result.run = timing::runPipeline(driver, *pair.icache, *pair.dcache, pipeline);
-
-    // The replayed run must retrace the recording exactly.
-    VC_CHECK(result.run.instructions == source->trace.instructions());
-    VC_CHECK(result.run.halted == source->trace.halted());
-    VC_CHECK(driver.fullyConsumed());
-    result.checksum = source->trace.checksum();
-
-    detail::finalizeLegResult(config, pair, maps, result);
-    return result;
-}
-
 void replayBatch(const Module* bbrModule, const TraceCache& cache,
                  std::span<BatchLane> lanes) {
     if (lanes.empty()) return;
-    const obs::Span span("batch");
+    const obs::Span span("replay");
     const bool needsBbr = schemeNeedsBbrLinking(lanes.front().config.scheme);
     const ReplaySource* source = needsBbr ? cache.bbr.get() : cache.plain.get();
     VC_EXPECTS(source != nullptr);
@@ -936,17 +450,16 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
     VC_EXPECTS(source->trace.imageWords() == source->link.image.sizeWords());
 
     // --- Per-lane setup: maps, L2, schemes, (BBR) link + translation. ---
-    // Identical, per lane, to replaySystem's preamble; a lane whose BBR link
-    // fails is finished here with the same yield-loss accounting and sits
-    // out the replay.
+    // A lane whose BBR link fails is finished here with the execution-driven
+    // path's yield-loss accounting and sits out the replay.
     std::vector<LaneRuntime> rts(lanes.size());
-    std::vector<timing::PipelineState> states(lanes.size());
+    std::vector<LaneRuntime*> live;
+    live.reserve(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         BatchLane& lane = lanes[i];
         const SystemConfig& config = lane.config;
         LaneRuntime& rt = rts[i];
         rt.lane = &lane;
-        rt.st = &states[i];
         VC_EXPECTS(schemeNeedsBbrLinking(config.scheme) == needsBbr);
         VC_EXPECTS(source->trace.maxInstructions() == config.maxInstructions);
         VC_EXPECTS(config.observers.empty());
@@ -966,7 +479,6 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
                         *rt.l2);
         VC_CHECK(rt.pair.needsBbrLinking == needsBbr);
 
-        AddressTranslator xlate;
         if (needsBbr) {
             VC_EXPECTS(bbrModule != nullptr);
             LinkOptions options;
@@ -983,105 +495,35 @@ void replayBatch(const Module* bbrModule, const TraceCache& cache,
             lane.result.linkStats = rt.trialLink->stats;
             rt.table = buildAddressTranslation(source->link.image, rt.trialLink->image);
             rt.predictor.emplace(config.pipeline.predictor);
-            xlate.table = rt.table.data();
-            xlate.tableWords = static_cast<std::uint32_t>(rt.table.size());
-            xlate.base = source->link.image.baseAddr();
+            rt.xlate.table = rt.table.data();
+            rt.xlate.tableWords = static_cast<std::uint32_t>(rt.table.size());
+            rt.xlate.base = source->link.image.baseAddr();
         } else {
             lane.result.linkStats = source->link.stats;
         }
 
         rt.pipeline = config.pipeline;
         rt.pipeline.maxInstructions = config.maxInstructions;
-        if (needsBbr) {
-            rt.bbrDrv.emplace(xlate, &*rt.predictor,
-                              xlate.translate(source->link.image.entryAddr()));
-        } else {
-            // The op-major kernel hoists these per-op facts out of its lane
-            // loop, so they must not vary within a batch. All sweep legs
-            // share one SystemConfig template, so this never fires there.
-            const PipelineConfig& ref = rts.front().pipeline;
-            VC_EXPECTS(rt.pipeline.issueWidth == ref.issueWidth);
-            VC_EXPECTS(rt.pipeline.mispredictPenalty == ref.mispredictPenalty);
-            VC_EXPECTS(rt.pipeline.mulLatency == ref.mulLatency);
-            VC_EXPECTS(rt.pipeline.divLatency == ref.divLatency);
-            VC_EXPECTS(rt.pipeline.takenBranchFetchBubble == ref.takenBranchFetchBubble);
-            VC_EXPECTS(rt.pipeline.dcachePortOccupancy == ref.dcachePortOccupancy);
-            VC_EXPECTS(rt.pipeline.extraDcacheCycleStalls == ref.extraDcacheCycleStalls);
-        }
-        rt.alive = true;
-    }
-
-    // Scheme-homogeneous plain groups for the op-major kernel (lane order
-    // within a group never affects results — lanes share no state), plus
-    // the BBR lanes, which keep the lane-major path: their translated pc
-    // streams and live predictors make per-op facts lane-dependent.
-    std::vector<std::pair<SchemeKind, std::vector<LaneRuntime*>>> plainGroups;
-    std::vector<LaneRuntime*> bbrLanes;
-    for (LaneRuntime& rt : rts) {
-        if (!rt.alive) continue;
-        if (needsBbr) {
-            bbrLanes.push_back(&rt);
-            continue;
-        }
-        const SchemeKind kind = rt.lane->config.scheme;
-        auto it = std::find_if(plainGroups.begin(), plainGroups.end(),
-                               [kind](const auto& g) { return g.first == kind; });
-        if (it == plainGroups.end()) {
-            plainGroups.emplace_back(kind, std::vector<LaneRuntime*>{});
-            it = std::prev(plainGroups.end());
-        }
-        it->second.push_back(&rt);
+        live.push_back(&rt);
     }
 
     // --- Chunked replay: decode once, advance every lane through it. ---
     TapeBuilder builder(source->link.image, source->trace);
-    std::vector<TapeOp> tape(kTapeChunkOps);
-    while (!builder.done()) {
-        const std::uint32_t count = builder.fill(tape.data(), kTapeChunkOps);
-        for (auto& [kind, group] : plainGroups) {
-            withConcreteSchemes(
-                kind, group.front()->pair, [&](auto& icache0, auto& dcache0) {
-                    using IC = std::decay_t<decltype(icache0)>;
-                    using DC = std::decay_t<decltype(dcache0)>;
-                    // withConcreteSchemes instantiates this lambda for the
-                    // BBR pairing too, but BBR lanes never land in a plain
-                    // group — guard so that instantiation stays dead code.
-                    if constexpr (!std::is_same_v<IC, BbrICache>) {
-                        std::vector<PlainLaneRef<IC, DC>> refs;
-                        refs.reserve(group.size());
-                        for (LaneRuntime* rt : group) {
-                            refs.push_back(PlainLaneRef<IC, DC>{
-                                rt->st, static_cast<IC*>(rt->pair.icache.get()),
-                                static_cast<DC*>(rt->pair.dcache.get())});
-                        }
-                        runTapeChunkPlain(tape.data(), count, refs.data(), refs.size(),
-                                          group.front()->pipeline);
-                    }
-                });
-        }
-        for (LaneRuntime* rt : bbrLanes) {
-            withConcreteSchemes(
-                rt->lane->config.scheme, rt->pair, [&](auto& icache, auto& dcache) {
-                    if constexpr (std::is_same_v<std::decay_t<decltype(icache)>,
-                                                 BbrICache>) {
-                        rt->bbrDrv->beginChunk(tape.data(), count);
-                        timing::runPipelineChunk(*rt->st, *rt->bbrDrv, icache, dcache,
-                                                 rt->pipeline);
-                    }
-                });
-        }
+    if (needsBbr) {
+        streamTape<true>(builder, live, source->link.image.entryAddr());
+    } else {
+        streamTape<false>(builder, live, source->link.image.entryAddr());
     }
     VC_CHECK(builder.fullyConsumed());
 
-    // --- Per-lane finish: same checks and finalization as replaySystem. ---
-    for (LaneRuntime& rt : rts) {
-        if (!rt.alive) continue;
-        SystemResult& result = rt.lane->result;
-        result.run = timing::finalizePipeline(*rt.st);
+    // --- Per-lane finish: the replayed run must retrace the recording. ---
+    for (LaneRuntime* rt : live) {
+        SystemResult& result = rt->lane->result;
+        result.run = timing::finalizePipeline(rt->st);
         VC_CHECK(result.run.instructions == source->trace.instructions());
         VC_CHECK(result.run.halted == source->trace.halted());
         result.checksum = source->trace.checksum();
-        detail::finalizeLegResult(rt.lane->config, rt.pair, *rt.maps, result);
+        detail::finalizeLegResult(rt->lane->config, rt->pair, *rt->maps, result);
     }
 
     // Return the lanes' L2s for the next batch. The schemes in rt.pair hold

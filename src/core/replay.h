@@ -8,7 +8,7 @@
 // and energy accounting via the shared timing kernel — skipping functional
 // execution, memory, and (for fixed layouts) the branch predictor. Results
 // are bit-identical to simulateSystem because the timing code is the same
-// template instantiated over a different Driver.
+// template (timing::runPipelineChunk) instantiated over a different Driver.
 //
 // Two recorded layouts cover all schemes:
 //   * plain — the untransformed module, conventionally linked; every
@@ -35,7 +35,7 @@ namespace voltcache {
 /// in the trace refers to; replay fetches decoded instructions from it.
 ///
 /// The compact delta/varint ArchTrace is deliberately the form replay walks
-/// per leg: a Tiny-scale trace is a few tens of KB and stays resident in
+/// per batch: a Tiny-scale trace is a few tens of KB and stays resident in
 /// the host's L1/L2 next to the simulated tag arrays. A pre-decoded flat
 /// record stream (12 B/instruction) was measured slower end-to-end — the
 /// decode ALU it saves is hidden by the host's out-of-order core, while its
@@ -75,37 +75,30 @@ struct TraceCache {
 [[nodiscard]] std::vector<std::uint32_t> buildAddressTranslation(const Image& recording,
                                                                  const Image& trial);
 
-/// Evaluate one leg from the recorded trace — the drop-in fast path for
-/// simulateSystem. `bbrModule` is linked per trial when the scheme needs
-/// BBR placement (LinkError folds into linkFailed yield loss, as in
-/// execution); `cache.canReplay(config.scheme)` must hold and
-/// `config.observers` must be empty (observers see no replayed run).
-/// `chipMaps` has simulateSystem's sharing semantics (core/system.h).
-[[nodiscard]] SystemResult replaySystem(const Module* bbrModule, const SystemConfig& config,
-                                        const TraceCache& cache,
-                                        const detail::LegFaultMaps* chipMaps = nullptr);
-
-/// One lane of a TrialBatch: the per-trial inputs of one sweep leg and, on
-/// return from replayBatch, its result. `config` and `chipMaps` have
-/// replaySystem's exact semantics; `result` per lane is byte-identical to
-/// `replaySystem(bbrModule, config, cache, chipMaps)`.
+/// One lane of a batch: the inputs of one sweep leg and, on return from
+/// replayBatch, its result. `config.scheme` picks the recorded layout
+/// (`cache.canReplay(config.scheme)` must hold) and `config.observers` must
+/// be empty (observers see no replayed run). `chipMaps` has
+/// simulateSystem's sharing semantics (core/system.h). `result` is
+/// field-for-field what simulateSystem returns for the same leg.
 struct BatchLane {
     SystemConfig config;
     const detail::LegFaultMaps* chipMaps = nullptr;
     SystemResult result;
 };
 
-/// Stream one sealed ArchTrace through many fault maps simultaneously: the
-/// trace is decoded once per chunk into a flat pre-lowered tape, then every
-/// lane's timing state — scheme/tag arrays, L2 counters, energy inputs,
-/// pipeline scoreboard — advances through that chunk before the next one is
-/// decoded, so the decode cost is amortized across the batch and the tape
-/// stays cache-hot. All lanes must share the benchmark (the trace) and
-/// layout kind: every `config.scheme` either needs BBR linking (each lane
-/// then links/translates/predicts per trial) or none does. Per-lane results
-/// are byte-identical to per-trial replaySystem calls — the timing
-/// semantics are the same runPipelineChunk template, fed by a tape-walking
-/// driver instead of a cursor-walking one.
+/// Evaluate legs from a recorded trace — the replay engine's one entry
+/// point; a single leg is a one-lane span. The trace is decoded once per
+/// chunk into a flat pre-lowered tape, then every lane's timing state —
+/// scheme/tag arrays, L2, energy inputs, pipeline scoreboard — advances
+/// through that chunk via the shared timing kernel (cpu/timing_kernel.h)
+/// before the next one is decoded, so the decode cost is amortized across
+/// the batch and the tape stays cache-hot. All lanes must share the
+/// benchmark (the trace) and layout kind: every `config.scheme` either
+/// needs BBR linking or none does. BBR lanes link `bbrModule` against the
+/// lane's I-cache fault map (a LinkError folds into linkFailed yield loss,
+/// as in execution), translate the recorded addresses onto the trial
+/// layout, and run a live branch predictor over them.
 void replayBatch(const Module* bbrModule, const TraceCache& cache,
                  std::span<BatchLane> lanes);
 

@@ -1,12 +1,14 @@
 #include "core/sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -119,6 +121,31 @@ void runIndexed(std::size_t jobCount, unsigned threads,
     for (auto& worker : workers) worker.join();
 }
 
+/// Where a leg's result comes from: the replay engine, execution-driven
+/// simulation (the oracle, for legs without a recorded trace), or the
+/// injected result store.
+enum class LegSource : std::uint8_t { Replayed, Executed, Cached };
+constexpr std::size_t kLegSources = 3;
+
+/// Replayable legs of one (benchmark, point, layout) group are split into
+/// batches of at most this many lanes. Larger batches amortize the tape
+/// decode further but hold more lane state (~200KB per lane: two tag
+/// arrays, scheme state, L2, pipeline scoreboard) and leave fewer units to
+/// schedule across workers.
+constexpr std::size_t kBatchLanes = 32;
+
+/// Evaluate `lanes` of one benchmark: one replayBatch over the recorded
+/// trace, or — without one — execution-driven legs one by one.
+void evaluateLanes(const BenchmarkContext& ctx, std::span<BatchLane> lanes, bool replay) {
+    if (replay) {
+        replayBatch(&ctx.bbrModule, ctx.traces, lanes);
+        return;
+    }
+    for (BatchLane& lane : lanes) {
+        lane.result = simulateSystem(ctx.module, &ctx.bbrModule, lane.config, lane.chipMaps);
+    }
+}
+
 /// Per-worker-thread (scheme, voltage) leg counters through the handle API:
 /// the handles resolve to the calling thread's shard, so the hot loop never
 /// touches the registry lock or another thread's cells.
@@ -126,24 +153,15 @@ class LegCounters {
 public:
     LegCounters()
         : legs_(obs::MetricsRegistry::global().counter("sweep.legs")),
-          replayed_(obs::MetricsRegistry::global().counter("sweep.legs_replayed")),
-          executed_(obs::MetricsRegistry::global().counter("sweep.legs_executed")),
-          cached_(obs::MetricsRegistry::global().counter("sweep.legs_cached")),
+          bySource_{obs::MetricsRegistry::global().counter("sweep.legs_replayed"),
+                    obs::MetricsRegistry::global().counter("sweep.legs_executed"),
+                    obs::MetricsRegistry::global().counter("sweep.legs_cached")},
           batches_(obs::MetricsRegistry::global().counter("sweep.batches")),
           batchLanes_(obs::MetricsRegistry::global().counter("sweep.batch_lanes")) {}
 
-    void legDone(bool replayed) {
+    void legDone(LegSource source) {
         legs_.add();
-        if (replayed) {
-            replayed_.add();
-        } else {
-            executed_.add();
-        }
-    }
-
-    void legDoneCached() {
-        legs_.add();
-        cached_.add();
+        bySource_[static_cast<std::size_t>(source)].add();
     }
 
     void batchDone(std::uint64_t lanes) {
@@ -176,9 +194,7 @@ private:
         obs::Counter linkFailures;
     };
     obs::Counter legs_;
-    obs::Counter replayed_;
-    obs::Counter executed_;
-    obs::Counter cached_;
+    std::array<obs::Counter, kLegSources> bySource_;
     obs::Counter batches_;
     obs::Counter batchLanes_;
     std::map<std::pair<SchemeKind, int>, Handles> handles_;
@@ -361,10 +377,9 @@ SweepResult runSweep(const SweepConfig& config) {
     }
 
     // --- Phase 2a: probe the result store before committing to any heavy
-    // work. A hit fills the leg's canonical slot directly; a benchmark whose
-    // legs all hit never records a trace or runs its reference simulations.
-    std::vector<LegResult> slots(legs.size());
-    std::vector<char> fromStore(legs.size(), 0);
+    // work. A hit is held until its leg completes; a benchmark whose legs
+    // all hit never records a trace or runs its reference simulations.
+    std::vector<std::optional<LegResult>> storeHits(legs.size());
     std::vector<Digest256> legKeys;
     if (cacheEnabled) {
         const obs::Span probeSpan("store_probe");
@@ -376,13 +391,14 @@ SweepResult runSweep(const SweepConfig& config) {
                                    points[leg.point],
                                    chipSeed(config.baseSeed, voltageMv, leg.trial),
                                    baseTemplate);
-            if (config.resultSource->lookup(legKeys[i], slots[i])) fromStore[i] = 1;
+            LegResult hit;
+            if (config.resultSource->lookup(legKeys[i], hit)) storeHits[i] = std::move(hit);
         }
     }
     std::vector<char> needSimulation(benchmarks.size(), cacheEnabled ? 0 : 1);
     if (cacheEnabled) {
         for (std::size_t i = 0; i < legs.size(); ++i) {
-            if (fromStore[i] == 0) needSimulation[legs[i].benchmark] = 1;
+            if (!storeHits[i].has_value()) needSimulation[legs[i].benchmark] = 1;
         }
     }
 
@@ -431,33 +447,17 @@ SweepResult runSweep(const SweepConfig& config) {
                 }
             }
 
-            ctx.defectFree.reserve(points.size());
-            if (ctx.traces.plain != nullptr && config.useBatch) {
-                // One batch over the operating points: the defect-free runs
-                // share the plain trace, so its tape decodes once for all of
-                // them. Per-lane results match replaySystem byte for byte.
-                std::vector<BatchLane> lanes(points.size());
-                for (std::size_t p = 0; p < points.size(); ++p) {
-                    SystemConfig defectFree = ref;
-                    defectFree.scheme = SchemeKind::DefectFree;
-                    defectFree.op = points[p];
-                    lanes[p].config = defectFree;
-                }
-                replayBatch(nullptr, ctx.traces, lanes);
-                for (BatchLane& lane : lanes) {
-                    ctx.defectFree.push_back(std::move(lane.result));
-                }
-            } else {
-                for (const auto& point : points) {
-                    SystemConfig defectFree = ref;
-                    defectFree.scheme = SchemeKind::DefectFree;
-                    defectFree.op = point;
-                    ctx.defectFree.push_back(
-                        ctx.traces.plain != nullptr
-                            ? replaySystem(nullptr, defectFree, ctx.traces)
-                            : simulateSystem(ctx.module, nullptr, defectFree));
-                }
+            // One lane per operating point: the defect-free runs share the
+            // plain trace, so its tape decodes once for all of them.
+            std::vector<BatchLane> lanes(points.size());
+            for (std::size_t p = 0; p < points.size(); ++p) {
+                lanes[p].config = ref;
+                lanes[p].config.scheme = SchemeKind::DefectFree;
+                lanes[p].config.op = points[p];
             }
+            evaluateLanes(ctx, lanes, ctx.traces.plain != nullptr);
+            ctx.defectFree.reserve(points.size());
+            for (BatchLane& lane : lanes) ctx.defectFree.push_back(std::move(lane.result));
         } catch (...) {
             contextErrors[b] = std::current_exception();
         }
@@ -480,60 +480,56 @@ SweepResult runSweep(const SweepConfig& config) {
     }
 
     // --- Phase 2b: group legs into work units. ---
-    // One unit is a single leg (execution-driven, or batching off), a
-    // TrialBatch — consecutive replayable legs of one (benchmark, point,
-    // layout) group, capped at batchLanes, that stream the decoded tape
-    // together — or a cached group: store-served legs of one (benchmark,
-    // point) window, whose "execution" just replays bookkeeping. Unit
-    // composition only affects scheduling — every leg still writes its own
-    // canonical slot, so the reduction (and the JSON) is byte-identical to
-    // the unbatched, uncached engine.
+    // Every leg gets one source: a store hit, replay (its layout was
+    // recorded), or execution. A unit is the store hits of one (benchmark,
+    // point) window, up to kBatchLanes replayable legs of one (benchmark,
+    // point, layout) group streaming one decoded tape, or a single
+    // execution-driven leg. Unit composition only affects scheduling —
+    // every leg still writes its own canonical slot, so the reduction (and
+    // the JSON) does not depend on it.
+    std::vector<LegSource> sources(legs.size());
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+        const Leg& leg = legs[i];
+        sources[i] = storeHits[i].has_value() ? LegSource::Cached
+                     : contexts[leg.benchmark].traces.canReplay(schemes[leg.scheme])
+                         ? LegSource::Replayed
+                         : LegSource::Executed;
+    }
     struct WorkUnit {
+        LegSource source = LegSource::Executed;
         std::vector<std::size_t> legIdx;
-        bool batched = false;
-        bool cached = false;
     };
-    constexpr std::uint32_t kDefaultBatchLanes = 32;
-    const std::uint32_t laneCap =
-        config.batchLanes == 0 ? kDefaultBatchLanes : config.batchLanes;
-    const bool batching = replayEnabled && config.useBatch;
     std::vector<WorkUnit> units;
     {
-        const auto pushChunked = [&](const std::vector<std::size_t>& group) {
-            for (std::size_t start = 0; start < group.size(); start += laneCap) {
-                const std::size_t count = std::min<std::size_t>(laneCap, group.size() - start);
-                WorkUnit unit;
-                unit.batched = true;
-                unit.legIdx.assign(group.begin() + static_cast<std::ptrdiff_t>(start),
-                                   group.begin() + static_cast<std::ptrdiff_t>(start + count));
-                units.push_back(std::move(unit));
+        const auto pushChunked = [&](LegSource source, const std::vector<std::size_t>& group) {
+            for (std::size_t start = 0; start < group.size(); start += kBatchLanes) {
+                const std::size_t end = std::min(group.size(), start + kBatchLanes);
+                units.push_back(
+                    WorkUnit{source, {group.begin() + static_cast<std::ptrdiff_t>(start),
+                                      group.begin() + static_cast<std::ptrdiff_t>(end)}});
             }
         };
         std::size_t i = 0;
         while (i < legs.size()) {
+            std::vector<std::size_t> cachedGroup;
             std::vector<std::size_t> plainGroup;
             std::vector<std::size_t> bbrGroup;
-            std::vector<std::size_t> cachedGroup;
             std::size_t j = i;
             for (; j < legs.size() && legs[j].benchmark == legs[i].benchmark &&
                    legs[j].point == legs[i].point;
                  ++j) {
-                if (fromStore[j] != 0) {
-                    cachedGroup.push_back(j);
-                    continue;
-                }
-                const SchemeKind kind = schemes[legs[j].scheme];
-                if (batching && contexts[legs[j].benchmark].traces.canReplay(kind)) {
-                    (schemeNeedsBbrLinking(kind) ? bbrGroup : plainGroup).push_back(j);
-                } else {
-                    units.push_back(WorkUnit{{j}, false, false});
+                switch (sources[j]) {
+                    case LegSource::Cached: cachedGroup.push_back(j); break;
+                    case LegSource::Replayed:
+                        (schemeNeedsBbrLinking(schemes[legs[j].scheme]) ? bbrGroup : plainGroup)
+                            .push_back(j);
+                        break;
+                    case LegSource::Executed: units.push_back(WorkUnit{sources[j], {j}}); break;
                 }
             }
-            if (!cachedGroup.empty()) {
-                units.push_back(WorkUnit{std::move(cachedGroup), false, true});
-            }
-            pushChunked(plainGroup);
-            pushChunked(bbrGroup);
+            if (!cachedGroup.empty()) units.push_back(WorkUnit{LegSource::Cached, cachedGroup});
+            pushChunked(LegSource::Replayed, plainGroup);
+            pushChunked(LegSource::Replayed, bbrGroup);
             i = j;
         }
     }
@@ -547,66 +543,51 @@ SweepResult runSweep(const SweepConfig& config) {
     // when that job is collecting. None of it touches slots, scheduling
     // decisions, or the reduction — the sweep JSON stays byte-identical.
     const bool traced = config.trace.valid();
-    const auto stampTrace = [&](SweepLegEvent& event) {
-        if (!traced) return;
-        event.traceHi = config.trace.traceHi;
-        event.traceLo = config.trace.traceLo;
-        event.spanId = obs::childSpanId(config.trace, event.leg);
-    };
-    const auto recordLegSpan = [&](std::size_t index, unsigned workerId,
-                                   std::uint64_t startNs, std::uint64_t durationNs,
-                                   bool replayed, bool cached, bool linkFailed) {
-        if (!traced || !obs::JobTraceStore::collecting()) return;
+    const bool hooked = static_cast<bool>(config.onLegEvent);
+    const auto emitLegEvent = [&](SweepLegEvent::Phase phase, std::size_t index,
+                                  unsigned workerId, const LegResult* outcome,
+                                  std::uint64_t durationNs) {
         const Leg& leg = legs[index];
-        obs::JobSpan span;
-        span.name = "leg";
-        span.spanId = obs::childSpanId(config.trace, index);
-        span.parentSpanId = config.trace.spanId;
-        span.startNs = startNs;
-        span.durationNs = durationNs;
-        span.worker = workerId;
-        span.leg = true;
-        span.benchmark = contexts[leg.benchmark].name;
-        span.scheme = std::string(schemeName(schemes[leg.scheme]));
-        span.voltageMv = mv(points[leg.point].voltage);
-        span.trial = leg.trial;
-        span.replayed = replayed;
-        span.cached = cached;
-        span.linkFailed = linkFailed;
-        obs::JobTraceStore::global().record(config.trace, std::move(span));
+        SweepLegEvent event;
+        event.phase = phase;
+        event.leg = index;
+        event.worker = workerId;
+        event.benchmark = contexts[leg.benchmark].name;
+        event.scheme = schemes[leg.scheme];
+        event.voltageMv = mv(points[leg.point].voltage);
+        event.trial = leg.trial;
+        event.replayed = sources[index] == LegSource::Replayed;
+        event.cached = sources[index] == LegSource::Cached;
+        if (outcome != nullptr) {
+            event.durationNs = durationNs;
+            event.linkFailed = outcome->linkFailed;
+            event.failCause = outcome->forensics.failCause;
+        }
+        if (traced) {
+            event.traceHi = config.trace.traceHi;
+            event.traceLo = config.trace.traceLo;
+            event.spanId = obs::childSpanId(config.trace, index);
+        }
+        config.onLegEvent(event);
     };
 
     // Leg lifecycle: every leg is announced once, in canonical order, from
     // the coordinating thread before any worker starts.
-    if (config.onLegEvent) {
+    if (hooked) {
         for (std::size_t i = 0; i < legs.size(); ++i) {
-            const Leg& leg = legs[i];
-            SweepLegEvent event;
-            event.phase = SweepLegEvent::Phase::Enqueued;
-            event.leg = i;
-            event.worker = 0;
-            event.benchmark = contexts[leg.benchmark].name;
-            event.scheme = schemes[leg.scheme];
-            event.voltageMv = mv(points[leg.point].voltage);
-            event.trial = leg.trial;
-            event.replayed = contexts[leg.benchmark].traces.canReplay(schemes[leg.scheme]);
-            event.cached = fromStore[i] != 0;
-            stampTrace(event);
-            config.onLegEvent(event);
+            emitLegEvent(SweepLegEvent::Phase::Enqueued, i, 0, nullptr, 0);
         }
     }
 
-    // --- Phase 3: workers pull legs and fill pre-sized slots (cached slots
-    // were already filled by the phase-2a probe). ---
+    // --- Phase 3: workers pull units and fill pre-sized slots. ---
+    std::vector<LegResult> slots(legs.size());
     std::vector<std::exception_ptr> legErrors(legs.size());
     std::vector<std::atomic<std::size_t>> pendingPerBenchmark(benchmarks.size());
     for (const Leg& leg : legs) {
         pendingPerBenchmark[leg.benchmark].fetch_add(1, std::memory_order_relaxed);
     }
     std::atomic<std::size_t> legsCompleted{0};
-    std::atomic<std::size_t> legsReplayed{0};
-    std::atomic<std::size_t> legsExecuted{0};
-    std::atomic<std::size_t> legsCached{0};
+    std::array<std::atomic<std::size_t>, kLegSources> legsBySource{};
     std::size_t benchmarksCompleted = 0;
     std::mutex progressMutex;
 
@@ -627,8 +608,26 @@ SweepResult runSweep(const SweepConfig& config) {
         return &slot.maps[trial];
     };
 
-    // Deterministic per-leg metric harvest, shared by the single-leg and
-    // batched paths (the computation is per lane either way).
+    // The simulation inputs of one leg: its SystemConfig and, for
+    // defect-tolerant schemes, the chip's shared fault maps.
+    const auto fillLane = [&](std::size_t index, BatchLane& lane) {
+        // ci.sh negative control: trip a contract at the requested
+        // canonical leg (1-based) to exercise the flight recorder's
+        // contract-hook dump path end to end.
+        VC_CHECK(config.failAtLeg == 0 ||
+                 index + 1 != static_cast<std::size_t>(config.failAtLeg));
+        const Leg& leg = legs[index];
+        const OperatingPoint& point = points[leg.point];
+        lane.config = baseTemplate;
+        lane.config.scheme = schemes[leg.scheme];
+        lane.config.op = point;
+        lane.config.faultMapSeed = chipSeed(config.baseSeed, mv(point.voltage), leg.trial);
+        if (!detail::schemeIsDefectFree(lane.config.scheme)) {
+            lane.chipMaps = chipMapsFor(leg.point, leg.trial, lane.config);
+        }
+    };
+
+    // Deterministic per-leg metric harvest from a simulated leg.
     const auto harvestLeg = [&](const Leg& leg, const SystemResult& res) {
         const BenchmarkContext& ctx = contexts[leg.benchmark];
         LegResult metrics;
@@ -655,20 +654,30 @@ SweepResult runSweep(const SweepConfig& config) {
         return metrics;
     };
 
+    const auto progressTick = [&](bool boundary, unsigned workerCount) {
+        SweepProgress tick;
+        tick.boundary = boundary;
+        tick.completed = benchmarksCompleted;
+        tick.total = benchmarks.size();
+        tick.legsCompleted = legsCompleted.load(std::memory_order_relaxed);
+        tick.legsTotal = legs.size();
+        const auto bySource = [&](LegSource source) {
+            return legsBySource[static_cast<std::size_t>(source)].load(
+                std::memory_order_relaxed);
+        };
+        tick.legsReplayed = bySource(LegSource::Replayed);
+        tick.legsExecuted = bySource(LegSource::Executed);
+        tick.legsCached = bySource(LegSource::Cached);
+        tick.workers = workerCount;
+        return tick;
+    };
+
     const auto finishBenchmark = [&](std::uint32_t b) {
         const std::scoped_lock lock(progressMutex);
         ++benchmarksCompleted;
         if (config.onProgress) {
-            SweepProgress tick;
-            tick.completed = benchmarksCompleted;
-            tick.total = benchmarks.size();
+            SweepProgress tick = progressTick(/*boundary=*/true, workers);
             tick.benchmark = contexts[b].name;
-            tick.legsCompleted = legsCompleted.load(std::memory_order_relaxed);
-            tick.legsTotal = legs.size();
-            tick.legsReplayed = legsReplayed.load(std::memory_order_relaxed);
-            tick.legsExecuted = legsExecuted.load(std::memory_order_relaxed);
-            tick.legsCached = legsCached.load(std::memory_order_relaxed);
-            tick.workers = workers;
             config.onProgress(tick);
         }
     };
@@ -677,7 +686,7 @@ SweepResult runSweep(const SweepConfig& config) {
     // one fires per kLegTickPeriodNs across all workers (CAS claims the
     // window). Pure observation — the sweep JSON stays byte-identical.
     std::atomic<std::uint64_t> lastLegTickNs{steadyNowNs()};
-    const auto legTick = [&](unsigned workerCount) {
+    const auto legTick = [&] {
         if (!config.onProgress) return;
         const std::uint64_t now = steadyNowNs();
         std::uint64_t last = lastLegTickNs.load(std::memory_order_relaxed);
@@ -687,258 +696,114 @@ SweepResult runSweep(const SweepConfig& config) {
             return;
         }
         const std::scoped_lock lock(progressMutex);
-        SweepProgress tick;
-        tick.boundary = false;
-        tick.completed = benchmarksCompleted;
-        tick.total = benchmarks.size();
-        tick.legsCompleted = legsCompleted.load(std::memory_order_relaxed);
-        tick.legsTotal = legs.size();
-        tick.legsReplayed = legsReplayed.load(std::memory_order_relaxed);
-        tick.legsExecuted = legsExecuted.load(std::memory_order_relaxed);
-        tick.legsCached = legsCached.load(std::memory_order_relaxed);
-        tick.workers = workerCount;
-        config.onProgress(tick);
+        config.onProgress(progressTick(/*boundary=*/false, workers));
+    };
+
+    // Finish one leg: the only place a slot is written, a result stored, a
+    // leg counted, and its Finished event, job span and progress tick
+    // emitted. `outcome` is empty when the leg failed (its error is already
+    // in legErrors); the leg still completes, so every Started event gets
+    // its Finished one.
+    const auto completeLeg = [&](std::size_t index, unsigned workerId, LegCounters& counters,
+                                 std::optional<LegResult> outcome, std::uint64_t startNs,
+                                 std::uint64_t durationNs) {
+        const Leg& leg = legs[index];
+        const LegSource source = sources[index];
+        if (outcome.has_value()) {
+            slots[index] = std::move(*outcome);
+            counters.record(schemes[leg.scheme], mv(points[leg.point].voltage),
+                            slots[index].linkFailed);
+            if (cacheEnabled && source != LegSource::Cached) {
+                config.resultSource->store(legKeys[index], slots[index]);
+            }
+        }
+        const LegResult& result = slots[index];
+        counters.legDone(source);
+        legsCompleted.fetch_add(1, std::memory_order_relaxed);
+        legsBySource[static_cast<std::size_t>(source)].fetch_add(1, std::memory_order_relaxed);
+        if (hooked) {
+            emitLegEvent(SweepLegEvent::Phase::Finished, index, workerId, &result, durationNs);
+        }
+        // Store hits render as zero-cost spans; their bookkeeping wall time
+        // survives as the span's wallNs arg.
+        if (traced && obs::JobTraceStore::collecting()) {
+            obs::JobSpan span;
+            span.name = "leg";
+            span.spanId = obs::childSpanId(config.trace, index);
+            span.parentSpanId = config.trace.spanId;
+            span.startNs = startNs;
+            span.durationNs = durationNs;
+            span.worker = workerId;
+            span.leg = true;
+            span.benchmark = contexts[leg.benchmark].name;
+            span.scheme = std::string(schemeName(schemes[leg.scheme]));
+            span.voltageMv = mv(points[leg.point].voltage);
+            span.trial = leg.trial;
+            span.replayed = source == LegSource::Replayed;
+            span.cached = source == LegSource::Cached;
+            span.linkFailed = result.linkFailed;
+            obs::JobTraceStore::global().record(config.trace, std::move(span));
+        }
+        if (pendingPerBenchmark[leg.benchmark].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            finishBenchmark(leg.benchmark);
+        } else {
+            legTick();
+        }
     };
 
     std::atomic<std::uint64_t> activeWorkers{0};
 
-    const auto runLeg = [&](std::size_t index, unsigned workerId, LegCounters& counters) {
-        activeWorkers.fetch_add(1, std::memory_order_relaxed);
-        const Leg& leg = legs[index];
-        const BenchmarkContext& ctx = contexts[leg.benchmark];
-        const OperatingPoint& point = points[leg.point];
-        const SchemeKind scheme = schemes[leg.scheme];
-        const bool replayed = ctx.traces.canReplay(scheme);
-        const bool hooked = static_cast<bool>(config.onLegEvent);
-        SweepLegEvent event;
-        std::uint64_t startedNs = 0;
-        if (hooked || traced) startedNs = steadyNowNs();
-        if (hooked) {
-            event.leg = index;
-            event.worker = workerId;
-            event.benchmark = ctx.name;
-            event.scheme = scheme;
-            event.voltageMv = mv(point.voltage);
-            event.trial = leg.trial;
-            event.replayed = replayed;
-            stampTrace(event);
-            event.phase = SweepLegEvent::Phase::Started;
-            config.onLegEvent(event);
-        }
-        LegResult metrics; // hoisted so the Finished event can report the outcome
-        try {
-            // ci.sh negative control: trip a contract at the requested
-            // canonical leg (1-based) to exercise the flight recorder's
-            // contract-hook dump path end to end.
-            VC_CHECK(config.failAtLeg == 0 ||
-                     index + 1 != static_cast<std::size_t>(config.failAtLeg));
-            SystemConfig sys = baseTemplate;
-            sys.scheme = scheme;
-            sys.op = point;
-            sys.faultMapSeed = chipSeed(config.baseSeed, mv(point.voltage), leg.trial);
-
-            const detail::LegFaultMaps* chipMaps = nullptr;
-            if (!detail::schemeIsDefectFree(scheme)) {
-                chipMaps = chipMapsFor(leg.point, leg.trial, sys);
-            }
-
-            const SystemResult res =
-                replayed ? replaySystem(&ctx.bbrModule, sys, ctx.traces, chipMaps)
-                         : simulateSystem(ctx.module, &ctx.bbrModule, sys, chipMaps);
-
-            metrics = harvestLeg(leg, res);
-            slots[index] = metrics;
-            counters.record(scheme, mv(point.voltage), metrics.linkFailed);
-            if (cacheEnabled) config.resultSource->store(legKeys[index], metrics);
-        } catch (...) {
-            legErrors[index] = std::current_exception();
-        }
-        counters.legDone(replayed);
-        legsCompleted.fetch_add(1, std::memory_order_relaxed);
-        (replayed ? legsReplayed : legsExecuted).fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t legNs = (hooked || traced) ? steadyNowNs() - startedNs : 0;
-        if (hooked) {
-            event.phase = SweepLegEvent::Phase::Finished;
-            event.durationNs = legNs;
-            event.linkFailed = metrics.linkFailed;
-            event.failCause = metrics.forensics.failCause;
-            config.onLegEvent(event);
-        }
-        recordLegSpan(index, workerId, startedNs, legNs, replayed,
-                      /*cached=*/false, metrics.linkFailed);
-        if (pendingPerBenchmark[leg.benchmark].fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-            finishBenchmark(leg.benchmark);
-        } else {
-            legTick(workers);
-        }
-        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
-    };
-
-    // One TrialBatch: stream the group's shared tape through every lane,
-    // then run the same per-leg bookkeeping runLeg does, in canonical order
-    // within the unit. A failure inside replayBatch itself (before lanes
-    // have results) is charged to the unit's first leg — first-error-wins
-    // reduction surfaces it deterministically.
-    const auto runBatch = [&](const WorkUnit& unit, unsigned workerId,
-                              LegCounters& counters) {
-        activeWorkers.fetch_add(1, std::memory_order_relaxed);
-        const bool hooked = static_cast<bool>(config.onLegEvent);
-        const std::uint64_t startedNs = steadyNowNs();
-        const auto fillEvent = [&](SweepLegEvent& event, std::size_t index) {
-            const Leg& leg = legs[index];
-            event.leg = index;
-            event.worker = workerId;
-            event.benchmark = contexts[leg.benchmark].name;
-            event.scheme = schemes[leg.scheme];
-            event.voltageMv = mv(points[leg.point].voltage);
-            event.trial = leg.trial;
-            event.replayed = true;
-            stampTrace(event);
-        };
-        if (hooked) {
-            for (const std::size_t index : unit.legIdx) {
-                SweepLegEvent event;
-                fillEvent(event, index);
-                event.phase = SweepLegEvent::Phase::Started;
-                config.onLegEvent(event);
-            }
-        }
-        std::vector<BatchLane> lanes(unit.legIdx.size());
-        bool ran = false;
-        try {
-            for (std::size_t i = 0; i < unit.legIdx.size(); ++i) {
-                const Leg& leg = legs[unit.legIdx[i]];
-                // Same negative-control contract as runLeg — a batched leg
-                // must still be able to trip the flight recorder.
-                VC_CHECK(config.failAtLeg == 0 ||
-                         unit.legIdx[i] + 1 !=
-                             static_cast<std::size_t>(config.failAtLeg));
-                SystemConfig sys = baseTemplate;
-                sys.scheme = schemes[leg.scheme];
-                sys.op = points[leg.point];
-                sys.faultMapSeed =
-                    chipSeed(config.baseSeed, mv(points[leg.point].voltage), leg.trial);
-                lanes[i].config = sys;
-                if (!detail::schemeIsDefectFree(sys.scheme)) {
-                    lanes[i].chipMaps = chipMapsFor(leg.point, leg.trial, sys);
-                }
-            }
-            const BenchmarkContext& ctx = contexts[legs[unit.legIdx.front()].benchmark];
-            replayBatch(&ctx.bbrModule, ctx.traces, lanes);
-            ran = true;
-        } catch (...) {
-            legErrors[unit.legIdx.front()] = std::current_exception();
-        }
-        counters.batchDone(unit.legIdx.size());
-        const std::uint64_t laneNs =
-            (steadyNowNs() - startedNs) / unit.legIdx.size();
-        for (std::size_t i = 0; i < unit.legIdx.size(); ++i) {
-            const std::size_t index = unit.legIdx[i];
-            const Leg& leg = legs[index];
-            LegResult metrics;
-            if (ran) {
-                try {
-                    metrics = harvestLeg(leg, lanes[i].result);
-                    slots[index] = metrics;
-                    counters.record(schemes[leg.scheme], mv(points[leg.point].voltage),
-                                    metrics.linkFailed);
-                    if (cacheEnabled) config.resultSource->store(legKeys[index], metrics);
-                } catch (...) {
-                    legErrors[index] = std::current_exception();
-                }
-            }
-            counters.legDone(/*replayed=*/true);
-            legsCompleted.fetch_add(1, std::memory_order_relaxed);
-            legsReplayed.fetch_add(1, std::memory_order_relaxed);
-            if (hooked) {
-                SweepLegEvent event;
-                fillEvent(event, index);
-                event.phase = SweepLegEvent::Phase::Finished;
-                // Wall time attributed evenly: the lanes ran interleaved
-                // through the shared tape, not sequentially.
-                event.durationNs = laneNs;
-                event.linkFailed = metrics.linkFailed;
-                event.failCause = metrics.forensics.failCause;
-                config.onLegEvent(event);
-            }
-            // Same even attribution on the trace timeline: the lanes tile
-            // the batch's wall window sequentially.
-            recordLegSpan(index, workerId, startedNs + i * laneNs, laneNs,
-                          /*replayed=*/true, /*cached=*/false, metrics.linkFailed);
-            if (pendingPerBenchmark[leg.benchmark].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                finishBenchmark(leg.benchmark);
-            } else {
-                legTick(workers);
-            }
-        }
-        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
-    };
-
-    // One cached group: the legs' slots are already filled from the store —
-    // only the bookkeeping a simulated leg would have done remains (events,
-    // counters, progress), in canonical order within the unit.
-    const auto runCached = [&](const WorkUnit& unit, unsigned workerId,
-                               LegCounters& counters) {
-        activeWorkers.fetch_add(1, std::memory_order_relaxed);
-        const bool hooked = static_cast<bool>(config.onLegEvent);
-        for (const std::size_t index : unit.legIdx) {
-            const Leg& leg = legs[index];
-            SweepLegEvent event;
-            std::uint64_t startedNs = 0;
-            if (hooked || traced) startedNs = steadyNowNs();
-            if (hooked) {
-                event.leg = index;
-                event.worker = workerId;
-                event.benchmark = contexts[leg.benchmark].name;
-                event.scheme = schemes[leg.scheme];
-                event.voltageMv = mv(points[leg.point].voltage);
-                event.trial = leg.trial;
-                event.cached = true;
-                stampTrace(event);
-                event.phase = SweepLegEvent::Phase::Started;
-                config.onLegEvent(event);
-            }
-            counters.record(schemes[leg.scheme], mv(points[leg.point].voltage),
-                            slots[index].linkFailed);
-            counters.legDoneCached();
-            legsCompleted.fetch_add(1, std::memory_order_relaxed);
-            legsCached.fetch_add(1, std::memory_order_relaxed);
-            const std::uint64_t legNs =
-                (hooked || traced) ? steadyNowNs() - startedNs : 0;
-            if (hooked) {
-                event.phase = SweepLegEvent::Phase::Finished;
-                event.durationNs = legNs;
-                event.linkFailed = slots[index].linkFailed;
-                event.failCause = slots[index].forensics.failCause;
-                config.onLegEvent(event);
-            }
-            // Store hits render as zero-cost spans; legNs (the lookup/
-            // bookkeeping wall time) survives as the span's wallNs arg.
-            recordLegSpan(index, workerId, startedNs, legNs,
-                          /*replayed=*/false, /*cached=*/true,
-                          slots[index].linkFailed);
-            if (pendingPerBenchmark[leg.benchmark].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                finishBenchmark(leg.benchmark);
-            } else {
-                legTick(workers);
-            }
-        }
-        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
-    };
-
+    // One work unit: announce its legs, produce their results — the store
+    // hits, one replayBatch, or execution-driven legs — then complete each
+    // leg in canonical order. A failure while producing results is charged
+    // to the unit's first leg (first-error-wins reduction surfaces it
+    // deterministically); a failed harvest to its own leg.
     const auto runUnit = [&](std::size_t unitIndex, unsigned workerId,
                              LegCounters& counters) {
+        activeWorkers.fetch_add(1, std::memory_order_relaxed);
         const WorkUnit& unit = units[unitIndex];
-        if (unit.cached) {
-            runCached(unit, workerId, counters);
-        } else if (unit.batched) {
-            runBatch(unit, workerId, counters);
-        } else {
-            runLeg(unit.legIdx.front(), workerId, counters);
+        const std::size_t count = unit.legIdx.size();
+        const std::uint64_t startedNs = steadyNowNs();
+        if (hooked) {
+            for (const std::size_t index : unit.legIdx) {
+                emitLegEvent(SweepLegEvent::Phase::Started, index, workerId, nullptr, 0);
+            }
         }
+        std::vector<BatchLane> lanes;
+        bool ran = unit.source == LegSource::Cached;
+        if (!ran) {
+            lanes.resize(count);
+            try {
+                for (std::size_t i = 0; i < count; ++i) fillLane(unit.legIdx[i], lanes[i]);
+                evaluateLanes(contexts[legs[unit.legIdx.front()].benchmark], lanes,
+                              unit.source == LegSource::Replayed);
+                ran = true;
+            } catch (...) {
+                legErrors[unit.legIdx.front()] = std::current_exception();
+            }
+            if (unit.source == LegSource::Replayed) counters.batchDone(count);
+        }
+        std::vector<std::optional<LegResult>> outcomes(count);
+        for (std::size_t i = 0; i < count && ran; ++i) {
+            const std::size_t index = unit.legIdx[i];
+            if (unit.source == LegSource::Cached) {
+                outcomes[i] = std::move(storeHits[index]);
+                continue;
+            }
+            try {
+                outcomes[i] = harvestLeg(legs[index], lanes[i].result);
+            } catch (...) {
+                legErrors[index] = std::current_exception();
+            }
+        }
+        // Wall time attributed evenly: a batch's lanes ran interleaved
+        // through the shared tape, so they tile the unit's window.
+        const std::uint64_t legNs = (steadyNowNs() - startedNs) / count;
+        for (std::size_t i = 0; i < count; ++i) {
+            completeLeg(unit.legIdx[i], workerId, counters, std::move(outcomes[i]),
+                        startedNs + i * legNs, legNs);
+        }
+        activeWorkers.fetch_sub(1, std::memory_order_relaxed);
     };
 
     // Worker-utilization / queue-depth sampler, attached only when someone is

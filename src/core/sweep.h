@@ -138,29 +138,18 @@ struct SweepConfig {
     unsigned threads = 0;
     SystemConfig systemTemplate = {};       ///< org / energy / pipeline knobs
     /// Record-once / replay-many fast path: each benchmark context records
-    /// one architectural trace per layout (plain + BBR twin) and every trial
-    /// leg replays it through the trial's fault maps and scheme state.
-    /// Results are bit-identical to execution-driven legs (core/replay.h);
-    /// `--no-replay` / false falls back to full execution. Automatically
-    /// disabled when systemTemplate.observers is non-empty (observers must
-    /// see real execution) or when a trace overflows traceByteCap.
+    /// one architectural trace per layout (plain + BBR twin), and the
+    /// replayable legs of one (benchmark, point, layout) group stream it
+    /// through their trials' fault maps and scheme state together, in
+    /// batches of up to 32 lanes (core/replay.h replayBatch). Results are
+    /// bit-identical to execution-driven legs; `--no-replay` / false falls
+    /// back to full execution, the oracle. Automatically disabled when
+    /// systemTemplate.observers is non-empty (observers must see real
+    /// execution) or when a trace overflows traceByteCap.
     bool useReplay = true;
     /// Per-trace payload cap in bytes; an overflowing benchmark logs once
     /// and runs execution-driven instead of holding an unbounded trace.
     std::uint64_t traceByteCap = 256ull << 20;
-    /// Batched multi-map replay: the replayable legs of one (benchmark,
-    /// point, layout) group stream one decoded tape through many trials at
-    /// once (core/replay.h replayBatch), instead of re-decoding the trace
-    /// per leg. Results are byte-identical either way; `--no-batch` / false
-    /// keeps the per-leg replaySystem path (the escape hatch, and the
-    /// baseline for before/after measurements). Execution-driven legs are
-    /// never batched.
-    bool useBatch = true;
-    /// Cap on lanes (trials) per batch; 0 picks the engine default (32).
-    /// Smaller batches trade decode amortization for scheduling grains and
-    /// a smaller resident state footprint (~200KB per lane: two tag
-    /// arrays, scheme state, L2 counters, pipeline scoreboard).
-    std::uint32_t batchLanes = 0;
     /// Content-addressed result source (`voltcache serve`'s store). When
     /// set, every leg's digest is probed before phase 1 commits to any
     /// heavy work: hits skip record/replay/execution entirely (benchmarks
@@ -184,8 +173,8 @@ struct SweepConfig {
     /// Owning job's trace context (obs/trace_context.h). When valid, every
     /// SweepLegEvent carries it plus the leg's deterministic child span id,
     /// and finished legs are recorded into the JobTraceStore when that job
-    /// is collecting. Purely observational: tracing never disables replay,
-    /// batching, or the result store, and never touches the reduction — the
+    /// is collecting. Purely observational: tracing never disables replay
+    /// or the result store, and never touches the reduction — the
     /// sweep JSON stays byte-identical with tracing on or off.
     obs::TraceContext trace;
     /// Fault-injection knob for the crash-handling negative control

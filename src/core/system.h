@@ -74,7 +74,7 @@ struct LegFaultMaps;
 
 namespace detail {
 
-// Shared between simulateSystem and replaySystem (core/replay.h), so the
+// Shared between simulateSystem and replayBatch (core/replay.h), so the
 // two evaluation paths cannot drift: the fault-map draw order, the final
 // stat reconciliation, the energy accounting, and the metrics published
 // per leg are one implementation each.

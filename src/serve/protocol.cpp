@@ -1,9 +1,40 @@
 #include "serve/protocol.h"
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "common/json.h"
 #include "common/json_parse.h"
 
 namespace voltcache::serve {
+
+namespace {
+
+/// Largest accepted request integer. Doubles hold every integer up to 2^53,
+/// but 2^53 + 1 also parses as 2^53, so any number from 2^53 up may have
+/// been rounded on the way in.
+constexpr std::uint64_t kMaxExact = (std::uint64_t{1} << 53) - 1;
+
+/// Integer member `key`, or `fallback` when absent. The parser reads every
+/// number as a double, so only whole numbers from 0 to `max` (at most
+/// kMaxExact) are accepted: anything else — negative, fractional, or
+/// possibly rounded on the way in — throws JsonParseError naming the field
+/// instead of being cast.
+std::uint64_t exactUnsignedOr(const JsonValue& doc, std::string_view key,
+                              std::uint64_t fallback, std::uint64_t max = kMaxExact) {
+    const JsonValue* value = doc.find(key);
+    if (value == nullptr) return fallback;
+    const double number = value->asNumber();
+    if (!(number >= 0.0 && number <= static_cast<double>(max)) ||
+        number != std::floor(number)) {
+        throw JsonParseError("field '" + std::string(key) +
+                             "' must be a whole number from 0 to " + std::to_string(max));
+    }
+    return static_cast<std::uint64_t>(number);
+}
+
+} // namespace
 
 Request parseRequest(std::string_view line) {
     Request request;
@@ -40,13 +71,12 @@ Request parseRequest(std::string_view line) {
         job.schemes = doc.stringOr("schemes", "");
         job.scale = doc.stringOr("scale", job.scale);
         job.mv = doc.stringOr("mv", "");
-        job.trials = static_cast<std::uint32_t>(
-            doc.numberOr("trials", static_cast<double>(job.trials)));
-        job.threads = static_cast<unsigned>(doc.numberOr("threads", 0.0));
-        job.seed = static_cast<std::uint64_t>(
-            doc.numberOr("seed", static_cast<double>(job.seed)));
-        job.maxInstructions =
-            static_cast<std::uint64_t>(doc.numberOr("maxInstructions", 0.0));
+        constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+        job.trials =
+            static_cast<std::uint32_t>(exactUnsignedOr(doc, "trials", job.trials, kU32Max));
+        job.threads = static_cast<unsigned>(exactUnsignedOr(doc, "threads", 0, kU32Max));
+        job.seed = exactUnsignedOr(doc, "seed", job.seed);
+        job.maxInstructions = exactUnsignedOr(doc, "maxInstructions", 0);
         if (const JsonValue* progress = doc.find("progress")) {
             job.progress = progress->asBool();
         }

@@ -8,6 +8,10 @@
 //    "benchmarks":"csv", "schemes":"csv", "scale":"small", "mv":"csv",
 //    "threads":N, "seed":N, "maxInstructions":N, "progress":true}
 //
+// Every N is a whole number from 0 to 2^53 - 1 (trials and threads: to
+// 2^32 - 1); a value the parser's doubles could have rounded, a negative or
+// a fractional one makes the request Invalid rather than being cast.
+//
 // `run` is a degenerate sweep (defaults trials=1) for one-off legs; `verify`
 // runs the sweep under the analytic cross-check gate and reports pass/fail.
 // All three flatten into legs on the same executor and consult the same
@@ -74,8 +78,9 @@ struct Request {
     std::string error;  ///< Kind::Invalid only
 };
 
-/// Parse one request line. Never throws: malformed JSON or an unknown op
-/// yields Kind::Invalid with a diagnostic.
+/// Parse one request line. Never throws: malformed JSON, an unknown op, or
+/// an out-of-range integer field yields Kind::Invalid with a diagnostic
+/// naming the problem.
 [[nodiscard]] Request parseRequest(std::string_view line);
 
 /// Serialize a job as one request line (no trailing newline) — the

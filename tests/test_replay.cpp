@@ -2,11 +2,17 @@
 //   * trace encoding round-trips (zigzag, varints, chunk boundaries, the
 //     trailing partial control-flow byte, byte-cap overflow),
 //   * the headline equivalence property — for every scheme x voltage x seed,
-//     replaySystem() equals simulateSystem() field-for-field, and
+//     a one-lane replayBatch() equals simulateSystem() field-for-field, and
+//     so does every lane of a multi-lane batch mixing schemes and chips,
 //   * sweep-level integration: the exported JSON is byte-identical with
 //     replay on vs off (any thread count), the byte cap falls back to
-//     execution-driven legs without changing results, and the progress
-//     ticks account every leg as replayed or executed.
+//     execution-driven legs without changing results, the progress ticks
+//     account every leg as replayed or executed, and every leg — replayed,
+//     executed or served from a store — gets exactly one lifecycle event
+//     per phase.
+#include <array>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -19,6 +25,7 @@
 #include "core/system.h"
 #include "cpu/arch_trace.h"
 #include "power/dvfs.h"
+#include "serve/store.h"
 #include "workload/workload.h"
 
 namespace voltcache {
@@ -187,6 +194,14 @@ const std::vector<SchemeKind>& allSchemes() {
     return kinds;
 }
 
+/// One leg through the replay engine: a one-lane batch.
+SystemResult replayOne(const Fixture& fx, const SystemConfig& config) {
+    BatchLane lane;
+    lane.config = config;
+    replayBatch(&fx.bbrModule, fx.traces, std::span<BatchLane>(&lane, 1));
+    return lane.result;
+}
+
 // The headline property: replay is bit-identical to execution for every
 // scheme at a high / mid / floor operating point over many chips. (Table II
 // has no 600mV row; 560mV is the nearest mid-grid point.)
@@ -201,8 +216,7 @@ TEST(ReplayEquivalence, AllSchemesVoltagesSeeds) {
                 config.faultMapSeed = seed;
                 const SystemResult exec =
                     simulateSystem(fx.module, &fx.bbrModule, config);
-                const SystemResult replayed =
-                    replaySystem(&fx.bbrModule, config, fx.traces);
+                const SystemResult replayed = replayOne(fx, config);
                 const std::string where = std::string(schemeName(scheme)) + " @" +
                                           std::to_string(mv) + "mV seed " +
                                           std::to_string(seed);
@@ -223,10 +237,50 @@ TEST(ReplayEquivalence, SecondBenchmarkSpotCheck) {
             config.op = DvfsTable::at(400_mV);
             config.faultMapSeed = seed;
             const SystemResult exec = simulateSystem(fx.module, &fx.bbrModule, config);
-            const SystemResult replayed = replaySystem(&fx.bbrModule, config, fx.traces);
+            const SystemResult replayed = replayOne(fx, config);
             const std::string where = std::string(schemeName(scheme)) + " crc32 seed " +
                                       std::to_string(seed);
             expectSameResult(exec, replayed, where);
+        }
+    }
+}
+
+// Lanes of one batch share the decoded tape but nothing else: every lane of
+// a batch must equal its own execution-driven leg, for batches below, at and
+// above the tape's chunking of the trace, with different plain schemes side
+// by side in one batch, and with lanes on shared pre-drawn chip maps (the
+// sweep's path) next to lanes that draw their own.
+TEST(ReplayEquivalence, BatchedLanesMatchExecution) {
+    const Fixture fx = makeFixture("basicmath");
+    const std::vector<SchemeKind> plainSchemes = {
+        SchemeKind::DefectFree,    SchemeKind::Conventional760, SchemeKind::Robust8T,
+        SchemeKind::SimpleWordDisable, SchemeKind::WilkersonPlus, SchemeKind::FbaPlus,
+        SchemeKind::IdcPlus};
+    for (const std::size_t laneCount : {1U, 7U, 33U}) {
+        for (const bool bbr : {false, true}) {
+            std::vector<SystemConfig> configs(laneCount);
+            std::vector<detail::LegFaultMaps> chips;
+            chips.reserve(laneCount);
+            std::vector<BatchLane> lanes(laneCount);
+            for (std::size_t i = 0; i < laneCount; ++i) {
+                SystemConfig& config = configs[i];
+                config.scheme = bbr ? SchemeKind::FfwBbr : plainSchemes[i % plainSchemes.size()];
+                config.op = DvfsTable::at(i % 2 == 0 ? 400_mV : 480_mV);
+                config.faultMapSeed = 100 + i;
+                lanes[i].config = config;
+                if (i % 3 == 0) {
+                    chips.push_back(detail::generateChipFaultMaps(config));
+                    lanes[i].chipMaps = &chips.back();
+                }
+            }
+            replayBatch(&fx.bbrModule, fx.traces, lanes);
+            for (std::size_t i = 0; i < laneCount; ++i) {
+                const SystemResult exec =
+                    simulateSystem(fx.module, &fx.bbrModule, configs[i], lanes[i].chipMaps);
+                expectSameResult(exec, lanes[i].result,
+                                 std::string(schemeName(configs[i].scheme)) + " lane " +
+                                     std::to_string(i) + " of " + std::to_string(laneCount));
+            }
         }
     }
 }
@@ -270,21 +324,29 @@ TEST(ReplaySweep, JsonByteIdenticalReplayVsExecution) {
     }
 }
 
-// --no-batch is the escape hatch when the batched engine is suspected: it
-// must stay anchored to execution-driven simulation, not to the batched
-// path, so the three modes form one byte-identical equivalence class.
+// The degenerate batch shape: with one trial of one scheme per layout, every
+// replay unit of the sweep is a one-lane replayBatch. That shape must stay
+// anchored to execution-driven simulation too, at every thread count.
 TEST(ReplaySweep, NoBatchJsonByteIdenticalToExecution) {
-    SweepConfig exec = sweepConfig();
+    const auto oneLaneConfig = [] {
+        SweepConfig config = sweepConfig();
+        config.schemes = {SchemeKind::SimpleWordDisable, SchemeKind::FfwBbr};
+        config.trials = 1;
+        return config;
+    };
+    SweepConfig exec = oneLaneConfig();
     exec.useReplay = false;
     const std::string execJson = exportJson(runSweep(exec), exec);
 
     for (const unsigned threads : {1u, 2u, 8u}) {
-        SweepConfig replay = sweepConfig();
-        replay.useBatch = false;
+        SweepConfig replay = oneLaneConfig();
         replay.threads = threads;
+        SweepProgress last;
+        replay.onProgress = [&last](const SweepProgress& p) { last = p; };
         const std::string replayJson = exportJson(runSweep(replay), replay);
         EXPECT_EQ(execJson, replayJson)
-            << "--no-batch replay diverges from execution at --threads " << threads;
+            << "one-lane replay diverges from execution at --threads " << threads;
+        EXPECT_EQ(last.legsReplayed, last.legsTotal) << "--threads " << threads;
     }
 }
 
@@ -322,6 +384,71 @@ TEST(ReplaySweep, ByteCapOverflowFallsBackToExecution) {
     EXPECT_EQ(execJson, cappedJson);
     EXPECT_EQ(last.legsReplayed, 0U);
     EXPECT_EQ(last.legsExecuted, last.legsTotal);
+}
+
+// Every leg gets exactly one Enqueued, one Started and one Finished event,
+// all three flagged with where its result came from: replay, execution
+// (--no-replay), or — on a half-warm store — the store for the trials it
+// already holds and replay for the rest.
+TEST(ReplaySweep, EveryLegHasOneEventPerPhase) {
+    struct Seen {
+        std::array<int, 3> phases{};
+        std::array<bool, 3> replayed{};
+        std::array<bool, 3> cached{};
+    };
+    const auto collect = [](SweepConfig config) {
+        std::mutex mutex;
+        std::map<std::size_t, Seen> seen;
+        config.threads = 2;
+        config.onLegEvent = [&](const SweepLegEvent& event) {
+            const auto phase = static_cast<std::size_t>(event.phase);
+            const std::scoped_lock lock(mutex);
+            Seen& leg = seen[event.leg];
+            ++leg.phases[phase];
+            leg.replayed[phase] = event.replayed;
+            leg.cached[phase] = event.cached;
+        };
+        (void)runSweep(config);
+        return seen;
+    };
+    const auto expectLegs = [](const std::map<std::size_t, Seen>& seen, std::size_t legs,
+                               const auto& expectCached, bool replay, const char* mode) {
+        ASSERT_EQ(seen.size(), legs) << mode;
+        std::size_t index = 0;
+        for (const auto& [leg, events] : seen) {
+            EXPECT_EQ(leg, index++) << mode;
+            const bool cached = expectCached(leg);
+            for (std::size_t phase = 0; phase < 3; ++phase) {
+                EXPECT_EQ(events.phases[phase], 1) << mode << " leg " << leg << " phase " << phase;
+                EXPECT_EQ(events.cached[phase], cached) << mode << " leg " << leg;
+                EXPECT_EQ(events.replayed[phase], replay && !cached) << mode << " leg " << leg;
+            }
+        }
+    };
+    const auto never = [](std::size_t) { return false; };
+
+    // sweepConfig(): 2 benchmarks x 2 points x (8T: 1 trial + 2 schemes x 3).
+    const std::size_t legs = 2 * 2 * (1 + 2 * 3);
+    expectLegs(collect(sweepConfig()), legs, never, true, "replay");
+
+    SweepConfig exec = sweepConfig();
+    exec.useReplay = false;
+    expectLegs(collect(exec), legs, never, false, "execution");
+
+    // Warm the store with two of the three trials. Within a (benchmark,
+    // point) window the legs run 8T trial 0, then trials 0..2 per scheme.
+    serve::LegStore store({.byteBudget = 64 << 20, .directory = ""});
+    SweepConfig warmup = sweepConfig();
+    warmup.trials = 2;
+    warmup.resultSource = &store;
+    (void)runSweep(warmup);
+    SweepConfig halfWarm = sweepConfig();
+    halfWarm.resultSource = &store;
+    const auto warmTrial = [](std::size_t leg) {
+        const std::size_t slot = leg % 7; // position in its window
+        return slot == 0 || (slot - 1) % 3 < 2;
+    };
+    expectLegs(collect(halfWarm), legs, warmTrial, true, "half-warm store");
 }
 
 } // namespace

@@ -401,6 +401,36 @@ TEST(Protocol, JobJsonRoundTrips) {
     EXPECT_TRUE(parsed.job.progress);
 }
 
+// Numbers arrive as doubles: a seed past 2^53 would be silently rounded
+// (breaking "submit is byte-identical to sweep"), and negative or
+// fractional counts would be undefined casts. Each must be rejected by name.
+TEST(Protocol, RejectsIntegersItCannotRepresentExactly) {
+    const serve::Request largest =
+        serve::parseRequest(R"({"op":"sweep","seed":9007199254740991})");
+    ASSERT_EQ(largest.kind, serve::Request::Kind::Job);
+    EXPECT_EQ(largest.job.seed, 9007199254740991ULL);
+
+    const struct {
+        const char* line;
+        const char* field;
+    } rejected[] = {
+        {R"({"op":"sweep","seed":9007199254740993})", "seed"},
+        {R"({"op":"sweep","seed":1e19})", "seed"},
+        {R"({"op":"sweep","seed":-1})", "seed"},
+        {R"({"op":"sweep","trials":-2})", "trials"},
+        {R"({"op":"sweep","trials":2.5})", "trials"},
+        {R"({"op":"sweep","trials":4294967296})", "trials"},
+        {R"({"op":"run","threads":0.5})", "threads"},
+        {R"({"op":"verify","maxInstructions":-1000})", "maxInstructions"},
+    };
+    for (const auto& [line, field] : rejected) {
+        const serve::Request request = serve::parseRequest(line);
+        EXPECT_EQ(request.kind, serve::Request::Kind::Invalid) << line;
+        EXPECT_NE(request.error.find(field), std::string::npos)
+            << line << " -> " << request.error;
+    }
+}
+
 TEST(Protocol, LineReaderSplitsAndBounds) {
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);

@@ -54,13 +54,13 @@ TEST(SweepDeterminism, JsonBitIdenticalAcrossThreadCounts) {
 }
 
 // The batched replay engine must be a pure scheduling change: streaming one
-// trace through B fault maps at once has to export the very bytes the
-// one-lane-at-a-time path exports, at every thread count and for batch sizes
-// below, at, and above the trial count (1 lane degenerates to the unbatched
-// shape, 7 splits a 9-trial group unevenly, 9 is exactly one batch, 64
-// clamps to the trial group, 0 asks for the engine default).
+// trace through many fault maps at once has to export the very bytes the
+// one-leg-at-a-time execution-driven path exports, at every thread count.
+// Nine trials put ten plain legs (one 8T, nine SWD) and nine FFW+BBR legs in
+// each (benchmark, point) window, so every batch holds several lanes and
+// mixes schemes.
 TEST(SweepDeterminism, BatchedJsonBitIdenticalToUnbatched) {
-    const auto batchConfig = [](unsigned threads, bool useBatch, unsigned batchLanes) {
+    const auto batchConfig = [](unsigned threads, bool useReplay) {
         SweepConfig config;
         config.benchmarks = {"crc32"};
         config.schemes = {SchemeKind::Robust8T, SchemeKind::SimpleWordDisable,
@@ -69,19 +69,15 @@ TEST(SweepDeterminism, BatchedJsonBitIdenticalToUnbatched) {
         config.trials = 9;
         config.scale = WorkloadScale::Tiny;
         config.threads = threads;
-        config.useBatch = useBatch;
-        config.batchLanes = batchLanes;
+        config.useReplay = useReplay;
         return config;
     };
-    const SweepConfig ref = batchConfig(1, false, 0);
+    const SweepConfig ref = batchConfig(1, false);
     const std::string refJson = exportJson(runSweep(ref), ref);
     for (const unsigned threads : {1u, 2u, 8u}) {
-        for (const unsigned lanes : {1u, 7u, 9u, 64u, 0u}) {
-            const SweepConfig config = batchConfig(threads, true, lanes);
-            EXPECT_EQ(refJson, exportJson(runSweep(config), config))
-                << "batched sweep JSON diverges from unbatched at --threads "
-                << threads << " --batch " << lanes;
-        }
+        const SweepConfig config = batchConfig(threads, true);
+        EXPECT_EQ(refJson, exportJson(runSweep(config), config))
+            << "batched sweep JSON diverges from unbatched at --threads " << threads;
     }
 }
 

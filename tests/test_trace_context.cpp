@@ -6,6 +6,7 @@
 // async-signal-safe dump path including the VC_CHECK contract hook — plus
 // the headline guarantee that a fully traced sweep exports byte-identical
 // JSON.
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -243,8 +244,9 @@ TEST(TracedSweep, CollectsOneSpanPerLegAndExportsByteIdenticalJson) {
     store.clear();
     SweepConfig traced = plain;
     traced.trace = obs::makeRootContext("sweep-test");
-    std::size_t finishedLegs = 0;
-    std::uint64_t wrongSpanIds = 0;
+    // Finished events fire concurrently from the sweep's workers.
+    std::atomic<std::size_t> finishedLegs{0};
+    std::atomic<std::uint64_t> wrongSpanIds{0};
     traced.onLegEvent = [&](const SweepLegEvent& event) {
         if (event.phase != SweepLegEvent::Phase::Finished) return;
         ++finishedLegs;
@@ -259,10 +261,10 @@ TEST(TracedSweep, CollectsOneSpanPerLegAndExportsByteIdenticalJson) {
     const SweepResult result = runSweep(traced);
     store.endJob(traced.trace);
 
-    EXPECT_GT(finishedLegs, 0u);
-    EXPECT_EQ(wrongSpanIds, 0u);
+    EXPECT_GT(finishedLegs.load(), 0u);
+    EXPECT_EQ(wrongSpanIds.load(), 0u);
     const JsonValue doc = parseJson(store.toChromeJson("sweep-test"));
-    EXPECT_GE(doc.numberOr("spanCount", 0.0), static_cast<double>(finishedLegs));
+    EXPECT_GE(doc.numberOr("spanCount", 0.0), static_cast<double>(finishedLegs.load()));
 
     // Tracing observed every leg yet the export did not move a byte.
     EXPECT_EQ(sweepResultToJson(result, meta), referenceJson);

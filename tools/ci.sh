@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # CI entry point: strict build (warnings as errors, ASan+UBSan), full test
-# suite, clang-tidy (when installed), and a vcverify smoke check over the
-# BBR link example's configuration. Usage:
+# suite, clang-tidy (when installed), a vcverify smoke check over the BBR
+# link example's configuration, end-to-end sweep/serve smokes, and a
+# ThreadSanitizer pass over the concurrency-heavy suites (in
+# <build-dir>-tsan). Usage:
 #
 #   tools/ci.sh [build-dir]        # default: build-ci
 #
@@ -141,27 +143,19 @@ if ! cmp -s "$det_base" "$noreplay_json"; then
     exit 1
 fi
 
-echo "== batch smoke: sweep JSON identical with --no-batch and odd --batch sizes =="
-# Batched multi-map replay is a pure scheduling change: the one-lane-at-a-time
-# path (--no-batch) and awkward batch sizes (1 lane; 7 lanes, which splits a
-# trial group unevenly) must reproduce the default export byte for byte.
-# det_base above is the default (batched) --threads 1 export; this runs under
-# whatever sanitizers this leg configured, so lane-state aliasing bugs surface
-# here before the timing gates ever see them.
-for mode in no-batch 1 7; do
-    batch_json="$build_dir/ci_batch_$mode.json"
-    case "$mode" in
-        no-batch) batch_flag="--no-batch" ;;
-        *) batch_flag="--batch $mode" ;;
-    esac
-    # shellcheck disable=SC2086 # batch_flag is intentionally word-split
-    "$build_dir/tools/voltcache" sweep --trials 2 --benchmarks crc32,basicmath \
-        --scale tiny --threads 2 $batch_flag --json "$batch_json" > /dev/null
-    if ! cmp -s "$det_base" "$batch_json"; then
-        echo "ci: FAIL — sweep JSON differs between default batching and $batch_flag" >&2
-        exit 1
-    fi
-done
+echo "== oracle smoke: replayed sweep JSON identical to --no-replay at --threads 2 =="
+# Execution is the oracle the replay engine is anchored to: with two workers
+# interleaving replay batches and execution-driven legs, the export must
+# still match the single-thread replayed JSON byte for byte. Runs under
+# whatever sanitizers this leg configured, so lane-state aliasing bugs
+# surface here before the timing gates ever see them.
+oracle_json="$build_dir/ci_noreplay_t2.json"
+"$build_dir/tools/voltcache" sweep --trials 2 --benchmarks crc32,basicmath \
+    --scale tiny --threads 2 --no-replay --json "$oracle_json" > /dev/null
+if ! cmp -s "$det_base" "$oracle_json"; then
+    echo "ci: FAIL — sweep JSON differs between replayed and --no-replay --threads 2 runs" >&2
+    exit 1
+fi
 
 echo "== telemetry smoke: live /metrics + /progress scrape, journal, identical JSON =="
 # A sweep with the full telemetry plane attached (exporter on an ephemeral
@@ -368,6 +362,17 @@ if ! wait "$serve_pid"; then
     echo "ci: FAIL — serve did not exit 0 on SIGTERM" >&2
     exit 1
 fi
+
+echo "== tsan: concurrency-heavy suites under ThreadSanitizer =="
+# The sweep executor, telemetry plane, journal and serve daemon share state
+# across worker threads; ThreadSanitizer cannot be combined with the
+# address sanitizer above, so these suites get their own build.
+tsan_dir="${build_dir}-tsan"
+cmake -B "$tsan_dir" -S "$repo_root" -DVOLTCACHE_WERROR=ON \
+      -DVOLTCACHE_SANITIZE=thread > /dev/null
+cmake --build "$tsan_dir" --target voltcache_tests -j "$(nproc 2> /dev/null || echo 2)"
+(cd "$tsan_dir" && ctest --output-on-failure -j "$(nproc 2> /dev/null || echo 2)" \
+    -R '^(SweepDeterminism|ReplaySweep|TracedSweep|Telemetry|MetricsDelta|LegJournal|HttpServer|CachedSweep|LegStore|Protocol|Server)\.')
 
 echo "== perf smoke: micro benches export BENCH_micro.json + BENCH_perf.json =="
 # Exercises the obs primitives (counter add, trace record, span open/close)

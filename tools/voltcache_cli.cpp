@@ -15,7 +15,7 @@
 //   voltcache sweep [--trials N] [--benchmarks a,b,...] [--scale S]
 //             [--threads N] [--mv V1,V2,...] [--json FILE] [--trace FILE]
 //             [--profile FILE] [--progress] [--no-replay] [--analytic-check]
-//             [--check-z Z] [--corrupt-mapgen SCALE] [--batch N] [--no-batch]
+//             [--check-z Z] [--corrupt-mapgen SCALE]
 //       the Fig. 10/11/12 sweep, printed as one table; --json exports the
 //       full result (with CI half-widths and the forensics block), --trace
 //       a Chrome trace of the most recent events (open in Perfetto),
@@ -55,6 +55,7 @@
 //       flight-recorder crash dump as a human-readable span/event table
 //   voltcache list
 //       available benchmarks and schemes
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -65,6 +66,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -107,28 +109,6 @@ struct Args {
         return it != flags.end() ? it->second : fallback;
     }
 };
-
-Args parseArgs(int argc, char** argv, int first) {
-    Args args;
-    for (int i = first; i < argc; ++i) {
-        const std::string token = argv[i];
-        if (token.rfind("--", 0) == 0 || token == "-o") {
-            const std::string key = token == "-o" ? "out" : token.substr(2);
-            if (key == "bbr" || key == "progress" || key == "no-replay" ||
-                key == "no-batch" || key == "analytic-check" || key == "once") { // boolean flags
-                args.flags[key] = "1";
-                continue;
-            }
-            if (i + 1 >= argc) throw std::runtime_error("flag " + token + " needs a value");
-            args.flags[key] = argv[++i];
-        } else if (args.positional.empty()) {
-            args.positional = token;
-        } else {
-            throw std::runtime_error("unexpected argument '" + token + "'");
-        }
-    }
-    return args;
-}
 
 std::optional<SchemeKind> schemeByName(const std::string& name) {
     for (const SchemeKind kind :
@@ -222,7 +202,7 @@ RunExportMeta legMetaFromArgs(const Args& args, const SystemConfig& config) {
     return meta;
 }
 
-int cmdList() {
+int cmdList(const Args& /*args*/) {
     std::printf("benchmarks:\n");
     for (const auto& info : benchmarkList()) {
         std::printf("  %-14s (models %s)\n", info.name.data(), info.models.data());
@@ -377,8 +357,6 @@ int cmdSweep(const Args& args) {
     // control (any value != 1 must make --analytic-check fail).
     config.systemTemplate.faultRateScale = std::stod(args.get("corrupt-mapgen", "1"));
     config.useReplay = !args.flags.contains("no-replay");
-    config.useBatch = !args.flags.contains("no-batch");
-    config.batchLanes = static_cast<std::uint32_t>(std::stoul(args.get("batch", "0")));
     // --fail-at-leg: deliberately fail a VC_CHECK inside the Nth leg (1-based)
     // — the flight recorder's negative control (ci.sh asserts the dump).
     config.failAtLeg =
@@ -1463,9 +1441,6 @@ int usage() {
                  "      [--profile FILE]  (self-profile: per-phase span times + metrics)\n"
                  "      [--no-replay]  (disable the record-once/replay-many fast path;\n"
                  "       results are bit-identical either way)\n"
-                 "      [--batch N]  (lanes per replay batch; 0 = engine default 32)\n"
-                 "      [--no-batch]  (replay each leg individually instead of batching\n"
-                 "       trials through one decoded tape; bit-identical either way)\n"
                  "      [--analytic-check] [--check-z Z]  (gate the MC result against\n"
                  "       the closed-form FFW/BBR models; nonzero exit on divergence)\n"
                  "      [--corrupt-mapgen SCALE]  (deliberately scale the sampled fault\n"
@@ -1513,30 +1488,91 @@ int usage() {
     return 2;
 }
 
+/// One subcommand: its handler, whether it takes a positional argument, and
+/// the flags it accepts (`booleans` take no value). parseArgs rejects
+/// anything else, so a mistyped flag fails loudly instead of being ignored.
+struct Command {
+    std::string_view name;
+    int (*run)(const Args&);
+    bool positional;
+    std::vector<std::string_view> valued;
+    std::vector<std::string_view> booleans;
+};
+
+const std::vector<Command>& commands() {
+    static const std::vector<Command> table = {
+        {"run", cmdRun, true, {"scheme", "mv", "seed", "max-instructions", "json", "trace"}, {}},
+        {"stats", cmdStats, true,
+         {"scheme", "mv", "seed", "max-instructions", "json", "trace"}, {}},
+        {"verify", cmdVerify, true, {"mv", "seed"}, {}},
+        {"disasm", cmdDisasm, true, {}, {"bbr"}},
+        {"faultmap", cmdFaultmap, false, {"mv", "seed", "out"}, {}},
+        {"yield", cmdYield, false, {"bits", "target"}, {}},
+        {"sweep", cmdSweep, false,
+         {"trials", "benchmarks", "scale", "threads", "max-instructions", "mv", "json",
+          "trace", "profile", "check-z", "corrupt-mapgen", "telemetry-port",
+          "telemetry-linger", "journal", "journal-max-bytes", "trace-job", "flight-record",
+          "fail-at-leg"},
+         {"progress", "no-replay", "analytic-check"}},
+        {"top", cmdTop, true, {"interval", "iterations", "metrics-out", "progress-out"},
+         {"once"}},
+        {"serve", cmdServe, false,
+         {"port", "store", "store-budget", "threads", "journal", "journal-max-bytes",
+          "telemetry-port", "flight-record", "idle-timeout"},
+         {}},
+        {"submit", cmdSubmit, true,
+         {"op", "id", "benchmarks", "schemes", "scale", "mv", "trials", "threads", "seed",
+          "max-instructions", "trace-id", "json", "timeout"},
+         {"progress"}},
+        {"model", cmdModel, false, {"mv", "need", "json"}, {}},
+        {"profile", cmdProfile, true, {}, {}},
+        {"trace", cmdTrace, true, {"job", "limit"}, {}},
+        {"list", cmdList, false, {}, {}},
+    };
+    return table;
+}
+
+Args parseArgs(const Command& command, int argc, char** argv, int first) {
+    const auto accepts = [](const std::vector<std::string_view>& flags, const std::string& key) {
+        return std::find(flags.begin(), flags.end(), key) != flags.end();
+    };
+    Args args;
+    for (int i = first; i < argc; ++i) {
+        const std::string token = argv[i];
+        if (token.rfind("--", 0) == 0 || token == "-o") {
+            const std::string key = token == "-o" ? "out" : token.substr(2);
+            if (accepts(command.booleans, key)) {
+                args.flags[key] = "1";
+                continue;
+            }
+            if (!accepts(command.valued, key)) {
+                throw std::runtime_error("unknown flag '" + token + "' for '" +
+                                         std::string(command.name) + "'");
+            }
+            if (i + 1 >= argc) throw std::runtime_error("flag " + token + " needs a value");
+            args.flags[key] = argv[++i];
+        } else if (command.positional && args.positional.empty()) {
+            args.positional = token;
+        } else {
+            throw std::runtime_error("unexpected argument '" + token + "'");
+        }
+    }
+    return args;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
     if (argc < 2) return usage();
-    const std::string command = argv[1];
+    const std::string name = argv[1];
+    const auto& table = commands();
+    const auto command = std::find_if(table.begin(), table.end(),
+                                      [&name](const Command& c) { return c.name == name; });
+    if (command == table.end()) return usage();
     try {
-        const Args args = parseArgs(argc, argv, 2);
-        if (command == "run") return cmdRun(args);
-        if (command == "stats") return cmdStats(args);
-        if (command == "verify") return cmdVerify(args);
-        if (command == "disasm") return cmdDisasm(args);
-        if (command == "faultmap") return cmdFaultmap(args);
-        if (command == "yield") return cmdYield(args);
-        if (command == "sweep") return cmdSweep(args);
-        if (command == "top") return cmdTop(args);
-        if (command == "serve") return cmdServe(args);
-        if (command == "submit") return cmdSubmit(args);
-        if (command == "model") return cmdModel(args);
-        if (command == "profile") return cmdProfile(args);
-        if (command == "trace") return cmdTrace(args);
-        if (command == "list") return cmdList();
-        return usage();
+        return command->run(parseArgs(*command, argc, argv, 2));
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "voltcache %s: %s\n", command.c_str(), e.what());
+        std::fprintf(stderr, "voltcache %s: %s\n", name.c_str(), e.what());
         return 1;
     }
 }
